@@ -51,7 +51,7 @@ func run(args []string) int {
 	compare := fs.String("compare", "", "compare this run against a baseline -json report file and print per-suite drift")
 	tolerance := fs.Float64("tolerance", 25, "percent mean_ms slowdown tolerated by -compare before a suite is flagged")
 	incremental := fs.Bool("incremental", true, "use the incremental refinement engine (refine solver)")
-	only := fs.String("solvers", "", "comma-separated solver names to run: any backend registry name or portfolio (default: refine, enum, split, portfolio)")
+	only := fs.String("solvers", "", "comma-separated solver names to run: refine, enum, split (default: all three)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file")
 	if err := fs.Parse(args); err != nil {
@@ -74,18 +74,23 @@ func run(args []string) int {
 
 	solvers := bench.SolversWith(bench.Config{Incremental: *incremental})
 	if *only != "" {
-		// Resolve each requested name from the shared backend registry
-		// (plus the portfolio row), keeping the flag's order.
+		// Resolve each requested name, keeping the flag's order.
+		byName := map[string]bench.Solver{}
+		var names []string
+		for _, s := range solvers {
+			byName[s.Name] = s
+			names = append(names, s.Name)
+		}
 		var sel []bench.Solver
 		for _, name := range strings.Split(*only, ",") {
 			name = strings.TrimSpace(name)
 			if name == "" {
 				continue
 			}
-			s, ok := bench.SolverByName(name)
+			s, ok := byName[name]
 			if !ok {
 				fmt.Fprintf(os.Stderr, "benchtab: unknown solver %q (have %s)\n",
-					name, strings.Join(bench.SolverNames(), ", "))
+					name, strings.Join(names, ", "))
 				return 2
 			}
 			sel = append(sel, s)

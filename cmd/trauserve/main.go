@@ -9,9 +9,8 @@
 //	          [-incremental=false] [-drain d]
 //	          [-membudget N] [-tenantbudget N [-tenantrefill N]]
 //	          [-faultseed N] [-netfault k:op]
-//	          [-portfolio [-backends refine,enum,...]]
 //	          [-shards a,b,c [-self a]]
-//	          [-router [-shards a,b,c] [-hedge d] [-probe d]]
+//	          [-router [-shards a,b,c] [-probe d]]
 //
 // Standalone (the default) serves solves itself. With -shards and
 // -self it runs as one shard of a cluster: it still solves, but on a
@@ -19,7 +18,7 @@
 // (peer cache-fill). With -router it serves no solves of its own
 // (unless every shard is down, when it degrades to solving locally):
 // it routes each request to its owner shard with health-checked
-// failover, circuit breakers, bounded retries, and hedging — see the
+// failover, circuit breakers, and bounded retries — see the
 // "cluster" section of the README.
 //
 // The process listens until SIGINT/SIGTERM, then drains: the listener
@@ -41,7 +40,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/backend"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -75,22 +73,15 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 	tenantRefill := fs.Int64("tenantrefill", 0, "token-bucket refill rate for tenant pools in units/sec (0 = prepaid)")
 	faultSeed := fs.Int64("faultseed", 0, "deterministic fault-injection seed for chaos testing (0 = off)")
 	netFault := fs.String("netfault", "", "injected network fault as k:op (op: connect-fail, stall, cut) at the k-th cluster hop")
-	usePortfolio := fs.Bool("portfolio", false, "race scheduled backends from the registry per solve")
-	backends := fs.String("backends", "", "comma-separated backend subset for -portfolio (default: the whole registry)")
 	router := fs.Bool("router", false, "run as the cluster router instead of a solving shard")
 	shards := fs.String("shards", "", "comma-separated shard addresses, identical order on every process")
 	self := fs.String("self", "", "this shard's own address within -shards (enables peer cache-fill)")
-	hedge := fs.Duration("hedge", 0, "router: hedge interactive requests after this delay (0 = adaptive p95)")
 	probe := fs.Duration("probe", 0, "router: health-probe interval (0 = 250ms)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() != 0 {
-		fmt.Fprintln(stderr, "usage: trauserve [-addr host:port] [-workers n] [-queue n] [-cache n] [-timeout d] [-max-timeout d] [-parallel n] [-incremental=false] [-drain d] [-membudget n] [-tenantbudget n [-tenantrefill n]] [-faultseed n] [-netfault k:op] [-portfolio [-backends a,b]] [-shards a,b [-self a]] [-router [-shards a,b] [-hedge d] [-probe d]]")
-		return 2
-	}
-	if *backends != "" && !*usePortfolio {
-		fmt.Fprintln(stderr, "trauserve: -backends requires -portfolio")
+		fmt.Fprintln(stderr, "usage: trauserve [-addr host:port] [-workers n] [-queue n] [-cache n] [-timeout d] [-max-timeout d] [-parallel n] [-incremental=false] [-drain d] [-membudget n] [-tenantbudget n [-tenantrefill n]] [-faultseed n] [-netfault k:op] [-shards a,b [-self a]] [-router [-shards a,b] [-probe d]]")
 		return 2
 	}
 	shardList := splitShards(*shards)
@@ -111,11 +102,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 		fmt.Fprintln(stderr, "trauserve:", err)
 		return 2
 	}
-	pool, err := backend.Select(*backends)
-	if err != nil {
-		fmt.Fprintln(stderr, "trauserve:", err)
-		return 2
-	}
 
 	mode := core.IncrementalOn
 	if !*incremental {
@@ -129,8 +115,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 		MaxTimeout:      *maxTimeout,
 		MaxRequestBytes: *maxBody,
 		Solve:           core.Options{Parallel: *parallel, Incremental: mode},
-		Portfolio:       *usePortfolio,
-		Backends:        pool,
 		MemBudget:       *memBudget,
 		TenantBudget:    *tenantBudget,
 		TenantRefill:    *tenantRefill,
@@ -153,7 +137,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 		rt, err = cluster.New(cluster.Config{
 			Shards:        shardList,
 			Local:         srv,
-			HedgeDelay:    *hedge,
 			ProbeInterval: *probe,
 			Fault:         sched,
 		})

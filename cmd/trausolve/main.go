@@ -5,7 +5,6 @@
 // Usage:
 //
 //	trausolve [-timeout 10s] [-model] [-stats] [-parallel N] file.smt2
-//	trausolve -portfolio [-backends refine,enum] file.smt2
 //	trausolve -            # read from stdin
 package main
 
@@ -19,10 +18,7 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/backend"
 	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/portfolio"
 	"repro/internal/smtlib"
 )
 
@@ -40,24 +36,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	stats := fs.Bool("stats", false, "print the solve statistics tree")
 	parallel := fs.Int("parallel", 1, "case-split branch workers per round")
 	incremental := fs.Bool("incremental", true, "reuse solver sessions across refinement rounds")
-	usePortfolio := fs.Bool("portfolio", false, "race scheduled backends from the registry instead of one engine")
-	backends := fs.String("backends", "", "comma-separated backend subset for -portfolio (default: the whole registry)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: trausolve [-timeout d] [-model] [-stats] [-parallel n] [-incremental=false] [-portfolio [-backends a,b]] file.smt2 | -")
-		return 2
-	}
-	if *backends != "" && !*usePortfolio {
-		fmt.Fprintln(stderr, "trausolve: -backends requires -portfolio")
-		return 2
-	}
-	pool, err := backend.Select(*backends)
-	if err != nil {
-		fmt.Fprintln(stderr, "trausolve:", err)
+		fmt.Fprintln(stderr, "usage: trausolve [-timeout d] [-model] [-stats] [-parallel n] [-incremental=false] file.smt2 | -")
 		return 2
 	}
 
@@ -90,6 +75,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	var src []byte
+	var err error
 	if fs.Arg(0) == "-" {
 		src, err = io.ReadAll(stdin)
 	} else {
@@ -114,17 +100,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if !*incremental {
 		mode = core.IncrementalOff
 	}
-	var res core.Result
-	if *usePortfolio {
-		res = portfolio.New(portfolio.Config{Backends: pool}).
-			Solve(script.Problem, backend.Options{Parallel: *parallel}, engine.WithTimeout(*timeout))
-	} else {
-		res = core.Solve(script.Problem, core.Options{Timeout: *timeout, Parallel: *parallel, Incremental: mode})
-	}
+	res := core.Solve(script.Problem, core.Options{Timeout: *timeout, Parallel: *parallel, Incremental: mode})
 	fmt.Fprintln(stdout, res.Status)
-	if *usePortfolio && res.Backend != "" && res.Backend != "portfolio" {
-		fmt.Fprintf(stdout, "  backend = %s\n", res.Backend)
-	}
 	if res.Status == core.StatusSat && *model {
 		names := make([]string, 0, len(script.StrVars))
 		for name := range script.StrVars {

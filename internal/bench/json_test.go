@@ -40,15 +40,15 @@ func TestJSONSuiteReportsExcludedTimeouts(t *testing.T) {
 	// instance, where it spins until the deadline expires.
 	solver := Solver{
 		Name: "fake",
-		Run: func(p *strcon.Problem, ec *engine.Ctx) core.Status {
+		Run: func(p *strcon.Problem, ec *engine.Ctx) core.Result {
 			ec.Stats().Add("rounds", 4)
 			if p.NumStrVars() == 2 {
 				for !ec.Expired() {
 					time.Sleep(time.Millisecond)
 				}
-				return core.StatusUnknown
+				return core.Result{Status: core.StatusUnknown}
 			}
-			return core.StatusSat
+			return core.Result{Status: core.StatusSat}
 		},
 	}
 	r := RunSuite(insts, solver, 30*time.Millisecond, 1)
@@ -82,8 +82,8 @@ func TestJSONSuiteNoTimeouts(t *testing.T) {
 	insts := []*Instance{fakeInstance("a", 1), fakeInstance("b", 3)}
 	solver := Solver{
 		Name: "fake",
-		Run: func(p *strcon.Problem, ec *engine.Ctx) core.Status {
-			return core.StatusSat
+		Run: func(p *strcon.Problem, ec *engine.Ctx) core.Result {
+			return core.Result{Status: core.StatusSat}
 		},
 	}
 	r := RunSuite(insts, solver, time.Second, 1)

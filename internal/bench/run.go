@@ -7,19 +7,20 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/backend"
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/portfolio"
 	"repro/internal/strcon"
 )
 
 // Solver is one engine under comparison. Run solves the problem under
 // the context's deadline and cancellation and is expected to record its
-// statistics on the context's stats tree.
+// statistics on the context's stats tree. The result carries the
+// verdict and, for SAT, the model; engines without richer result state
+// leave the other fields zero.
 type Solver struct {
 	Name string
-	Run  func(prob *strcon.Problem, ec *engine.Ctx) core.Status
+	Run  func(prob *strcon.Problem, ec *engine.Ctx) core.Result
 }
 
 // Config selects how the solvers under comparison are configured.
@@ -29,16 +30,6 @@ type Config struct {
 	Incremental bool
 }
 
-// FromBackend adapts a registry backend (or the portfolio solver) to a
-// comparison row. This is the only bridge between the registry and the
-// bench tables — the per-solver closures the package used to rebuild
-// on every call are gone.
-func FromBackend(b backend.Backend, opts backend.Options) Solver {
-	return Solver{Name: b.Name(), Run: func(p *strcon.Problem, ec *engine.Ctx) core.Status {
-		return b.Solve(p, opts, ec).Status
-	}}
-}
-
 // Solvers returns the engines of the evaluation with the default
 // configuration (incremental engine on).
 func Solvers() []Solver {
@@ -46,44 +37,27 @@ func Solvers() []Solver {
 }
 
 // SolversWith returns the engines of the evaluation: the paper's
-// refinement solver (Z3-Trau reproduction), the two baseline families
-// standing in for the closed competitor tools (see package doc of
-// internal/baseline), and the portfolio racing the whole registry —
-// all resolved from the backend registry. The portfolio row carries
-// fresh scheduling state per call, so repeated table runs start from
-// the same unbiased schedule.
+// refinement solver (Z3-Trau reproduction) and the two baseline
+// families standing in for the closed competitor tools (see package
+// doc of internal/baseline).
 func SolversWith(cfg Config) []Solver {
-	refine := "refine"
+	mode := core.IncrementalOn
 	if !cfg.Incremental {
-		refine = "refine-fresh"
+		mode = core.IncrementalOff
 	}
-	out := make([]Solver, 0, 4)
-	for _, name := range []string{refine, "enum", "split"} {
-		b, ok := backend.Get(name)
-		if !ok {
-			panic("bench: backend missing from registry: " + name) // contract: registry is fixed
-		}
-		out = append(out, FromBackend(b, backend.Options{}))
+	return []Solver{
+		{Name: "refine", Run: func(p *strcon.Problem, ec *engine.Ctx) core.Result {
+			return core.SolveCtx(p, core.Options{Incremental: mode}, ec)
+		}},
+		{Name: "enum", Run: func(p *strcon.Problem, ec *engine.Ctx) core.Result {
+			r := baseline.SolveEnum(p, baseline.EnumOptions{}, ec)
+			return core.Result{Status: r.Status, Model: r.Model}
+		}},
+		{Name: "split", Run: func(p *strcon.Problem, ec *engine.Ctx) core.Result {
+			r := baseline.SolveSplit(p, baseline.SplitOptions{}, ec)
+			return core.Result{Status: r.Status, Model: r.Model}
+		}},
 	}
-	return append(out, FromBackend(portfolio.New(portfolio.Config{}), backend.Options{}))
-}
-
-// SolverByName resolves one comparison row: any registry backend by
-// name, or "portfolio" for a fresh portfolio over the whole registry.
-func SolverByName(name string) (Solver, bool) {
-	if name == "portfolio" {
-		return FromBackend(portfolio.New(portfolio.Config{}), backend.Options{}), true
-	}
-	b, ok := backend.Get(name)
-	if !ok {
-		return Solver{}, false
-	}
-	return FromBackend(b, backend.Options{}), true
-}
-
-// SolverNames lists every name SolverByName resolves.
-func SolverNames() []string {
-	return append(backend.Names(), "portfolio")
 }
 
 // Counts are the per-suite result counters, with the same rows as the
@@ -166,7 +140,7 @@ func RunSuite(insts []*Instance, solver Solver, timeout time.Duration, workers i
 	run1 := func(i int) {
 		ec := engine.WithTimeout(timeout)
 		start := time.Now()
-		status := solver.Run(insts[i].Build(), ec)
+		status := solver.Run(insts[i].Build(), ec).Status
 		st := ec.Stats()
 		results[i] = instResult{
 			status:    status,
@@ -336,7 +310,7 @@ func RunLuhn(maxLoops int, solver Solver, timeout time.Duration) []LuhnResult {
 		inst := Luhn(k)
 		ec := engine.WithTimeout(timeout)
 		start := time.Now()
-		status := solver.Run(inst.Build(), ec)
+		status := solver.Run(inst.Build(), ec).Status
 		st := ec.Stats()
 		out = append(out, LuhnResult{
 			K:        k,

@@ -16,18 +16,18 @@ import (
 func TestTimeoutClassification(t *testing.T) {
 	insts := Table1Suites(2)[0].Instances
 
-	giveUp := Solver{Name: "give-up", Run: func(_ *strcon.Problem, _ *engine.Ctx) core.Status {
-		return core.StatusUnknown
+	giveUp := Solver{Name: "give-up", Run: func(_ *strcon.Problem, _ *engine.Ctx) core.Result {
+		return core.Result{Status: core.StatusUnknown}
 	}}
 	c := RunSuite(insts, giveUp, time.Minute, 1).Counts
 	if c.Timeout != 0 || c.Unknown != len(insts) {
 		t.Fatalf("instant unknowns classified as %+v, want all UNKNOWN", c)
 	}
 
-	spin := Solver{Name: "spin", Run: func(_ *strcon.Problem, ec *engine.Ctx) core.Status {
+	spin := Solver{Name: "spin", Run: func(_ *strcon.Problem, ec *engine.Ctx) core.Result {
 		for !ec.Poll() {
 		}
-		return core.StatusUnknown
+		return core.Result{Status: core.StatusUnknown}
 	}}
 	c = RunSuite(insts, spin, 30*time.Millisecond, 1).Counts
 	if c.Unknown != 0 || c.Timeout != len(insts) {
@@ -37,13 +37,10 @@ func TestTimeoutClassification(t *testing.T) {
 
 // TestTableParallelByteIdentical is the -j acceptance check: rendering
 // the tables with a worker pool must produce byte-identical output to
-// the sequential run, for any worker count. The portfolio row is
-// excluded here: its verdicts are deterministic (see the portfolio
-// differential tests) but its aggregate conflict/pivot counters depend
-// on which racing backend gets cancelled first, which is timing.
+// the sequential run, for any worker count.
 func TestTableParallelByteIdentical(t *testing.T) {
 	suites := []Suite{Table1Suites(3)[1], Table2Suites(3)[0]}
-	solvers := Solvers()[:3]
+	solvers := Solvers()
 	timeout := 20 * time.Second
 
 	var seq bytes.Buffer

@@ -34,7 +34,7 @@ func (s BreakerState) String() string {
 // probe's outcome closes the breaker or re-opens it for another
 // cooldown. Health-probe results feed the same Success/Failure
 // methods as request outcomes, so a shard that comes back is noticed
-// within one probe interval even with no traffic to hedge on.
+// within one probe interval even with no traffic to fail over.
 type Breaker struct {
 	mu        sync.Mutex
 	threshold int           // consecutive failures that open the breaker

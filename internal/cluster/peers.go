@@ -17,10 +17,9 @@ import (
 // own parse and re-validates the witness before trusting it, the same
 // rule a local cache hit obeys.
 type CacheEntry struct {
-	Status  string   `json:"status"` // "sat" or "unsat", never anything else
-	Backend string   `json:"backend,omitempty"`
-	Str     []string `json:"str,omitempty"` // canonical string witness (sat only)
-	Int     []string `json:"int,omitempty"` // canonical integer witness, decimal
+	Status string   `json:"status"`        // "sat" or "unsat", never anything else
+	Str    []string `json:"str,omitempty"` // canonical string witness (sat only)
+	Int    []string `json:"int,omitempty"` // canonical integer witness, decimal
 }
 
 // peerFetchTimeout bounds one peer cache-fill hop. The fill is an

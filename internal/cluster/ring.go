@@ -1,17 +1,16 @@
 // Package cluster is the fault-tolerant sharding layer over trauserve:
 // a consistent-hash ring routes each canonical problem to an owner
 // shard, a health-checked circuit breaker guards every hop, transport
-// errors retry with backoff and fail over along the ring, interactive
-// requests hedge after a latency-derived delay, and when every shard
-// is unreachable the router degrades to solving locally — availability
+// errors retry with backoff and fail over along the ring, and when
+// every shard is unreachable the router degrades to solving locally — availability
 // falls back to single-node behavior instead of erroring.
 //
 // The layer can never flip a verdict: routing only decides WHERE a
 // canonical problem is solved and cached, and every served witness is
 // still re-validated by the concrete evaluator against the requesting
 // parse (the PR 4 invariant lives in internal/server, below this
-// package). The worst a dying shard can do is cost a retry, a hedge,
-// or a local solve — degradation toward UNKNOWN/latency, never toward
+// package). The worst a dying shard can do is cost a retry, a
+// failover, or a local solve — degradation toward UNKNOWN/latency, never toward
 // a wrong answer.
 //
 // The package sits beside internal/server in the import graph:

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -50,12 +49,8 @@ type Config struct {
 	// RetryBase seeds the exponential backoff (defaults 2 and 50ms).
 	MaxRetries int
 	RetryBase  time.Duration
-	// HedgeDelay is how long an interactive request waits on its
-	// primary before duplicating to the ring successor. 0 (the
-	// default) derives it from the router's observed p95 latency.
-	HedgeDelay time.Duration
 	// RequestTimeout bounds one routed request end to end — all
-	// retries, failovers, and hedges together (default 60s,
+	// retries and failovers together (default 60s,
 	// comfortably above the shard-side max solve budget). HopTimeout
 	// bounds a single attempt against one shard (default
 	// RequestTimeout), so a black-holed shard costs one hop's wait,
@@ -107,15 +102,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// hedgeFloor is the smallest adaptive hedge delay: on a cache-hot
-// workload the p95 collapses toward zero, and hedging every request
-// after half a millisecond would double cluster load for nothing.
-const hedgeFloor = 25 * time.Millisecond
-
-// hedgeDefault is the hedge delay used before enough latency samples
-// accumulate to derive a p95.
-const hedgeDefault = 100 * time.Millisecond
-
 // shard is the router's per-backend state: the breaker guarding it,
 // the last health-probe verdict, and its traffic counters.
 type shard struct {
@@ -131,8 +117,8 @@ type shard struct {
 
 // Router fronts a shard cluster: it routes each request to the owner
 // shard of its canonical problem hash and wraps every hop in the
-// robustness stack — breaker, bounded retries, hedging, failover,
-// local degradation. Create with New, expose via net/http, stop with
+// robustness stack — breaker, bounded retries, failover, local
+// degradation. Create with New, expose via net/http, stop with
 // Close.
 type Router struct {
 	cfg    Config
@@ -142,27 +128,25 @@ type Router struct {
 	local  http.Handler
 	mux    *http.ServeMux
 
-	lat latencies
-
 	draining atomic.Bool
 	stop     chan struct{}
 	probers  sync.WaitGroup
 
 	ctr struct {
-		routed         atomic.Int64 // requests forwarded to a shard
-		uncanonical    atomic.Int64 // routed by body hash (no canonical form)
-		retries        atomic.Int64 // transport-error retries across all hops
-		failovers      atomic.Int64 // attempts moved past a shard: transport failure or open breaker
-		hedgesLaunched atomic.Int64
-		hedgesWon      atomic.Int64 // hedge finished before the primary
-		localSolves    atomic.Int64 // degraded-mode local fallbacks
-		unroutable     atomic.Int64 // no shard and no local handler
+		routed      atomic.Int64 // requests forwarded to a shard
+		uncanonical atomic.Int64 // routed by body hash (no canonical form)
+		retries     atomic.Int64 // transport-error retries across all hops
+		failovers   atomic.Int64 // attempts moved past a shard: transport failure or open breaker
+		localSolves atomic.Int64 // degraded-mode local fallbacks
+		unroutable  atomic.Int64 // no shard and no local handler
 	}
 
 	start time.Time
 }
 
 // New builds a router over cfg.Shards and starts its health probers.
+// It returns once every shard has answered (or failed) its first
+// probe, which takes at most ProbeTimeout.
 func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Shards) == 0 {
@@ -196,6 +180,11 @@ func New(cfg Config) (*Router, error) {
 	rt.mux.HandleFunc("GET /jobs/{id}", rt.handleJob)
 	rt.mux.HandleFunc("GET /stats", rt.handleStats)
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
+	// The first probe round finishes before New returns, so routing and
+	// /stats never see a shard that was never probed: every shard is
+	// healthy or unhealthy on evidence from the start.
+	var probed sync.WaitGroup
+	probed.Add(len(cfg.Shards))
 	for _, addr := range cfg.Shards {
 		sh := rt.shards[addr]
 		rt.probers.Add(1)
@@ -203,16 +192,19 @@ func New(cfg Config) (*Router, error) {
 			defer rt.probers.Done()
 			ticker := time.NewTicker(rt.cfg.ProbeInterval)
 			defer ticker.Stop()
+			fault.Contain("cluster.probe", func() { rt.probe(sh) })
+			probed.Done()
 			for { //lint:nopoll probe loop runs for the router's lifetime and exits when rt.stop closes; it runs no solver code and holds no engine context
-				fault.Contain("cluster.probe", func() { rt.probe(sh) })
 				select {
 				case <-rt.stop:
 					return
 				case <-ticker.C:
 				}
+				fault.Contain("cluster.probe", func() { rt.probe(sh) })
 			}
 		}()
 	}
+	probed.Wait()
 	return rt, nil
 }
 
@@ -312,11 +304,7 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if !canonical {
 		rt.ctr.uncanonical.Add(1)
 	}
-	// /solve is the interactive class: hedge after the p95-derived
-	// delay. The duplicate is safe — shards coalesce identical
-	// canonical problems in flight and re-validate every witness, so a
-	// hedged solve costs at most one extra cache fill.
-	rt.forward(w, r, http.MethodPost, "/solve", body, key, true)
+	rt.forward(w, r, body, key)
 }
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -330,9 +318,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Batches route by body hash: instances inside one batch own
 	// different canonical hashes, and the job the 202 names lives on
-	// whichever shard accepted it. No hedging — batch is the bulk
-	// class, and a duplicated POST /batch would create a duplicate
-	// job.
+	// whichever shard accepted it.
 	sum := sha256.Sum256(body)
 	rt.forwardBatch(w, r, hex.EncodeToString(sum[:]), body)
 }
@@ -388,127 +374,63 @@ func splitJobID(id string) (shardIdx int, rest string, ok bool) {
 	return n, id[i+len(jobIDSep):], true
 }
 
-// attempt is one in-flight forward's outcome.
-type attempt struct {
-	sh    *shard
-	res   *Result
-	err   error
-	hedge bool
-}
-
-// forward routes one idempotent request along the ring with the full
-// robustness ladder: owner first, open circuits skipped, transport
-// errors retried then failed over to the next successor, an optional
-// hedge duplicated to the successor after the hedge delay, first
-// response wins and losers are cancelled. When every shard is
-// open-circuit or exhausted it degrades to the local handler.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, method, path string, body []byte, key string, hedge bool) {
-	candidates := rt.ring.Successors(key, 0)
+// forward routes a POST /solve down the ring, one shard at a time:
+// owner first, open circuits skipped, transport errors retried then
+// failed over to the next successor. Exactly one shard works on the
+// request at any moment — a slow owner answers or the request times
+// out, and no duplicate is sent. When every shard is open-circuit or
+// exhausted it degrades to the local handler.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, key string) {
 	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
 	defer cancel()
-
-	resCh := make(chan attempt, len(candidates)) // buffered: losers never block
-	var cancels []context.CancelFunc
-	defer func() {
-		for _, c := range cancels {
-			c()
+	routed := false
+	for _, addr := range rt.ring.Successors(key, 0) {
+		sh := rt.shards[addr]
+		if !sh.breaker.Allow() {
+			// Shedding an open-circuit shard moves the request down
+			// the ring just like a live transport failure would.
+			rt.ctr.failovers.Add(1)
+			continue
 		}
-	}()
-	next := 0
-	launch := func(hedged bool) bool {
-		for i := next; i < len(candidates); i++ {
-			sh := rt.shards[candidates[i]]
-			next = i + 1
-			if !sh.breaker.Allow() {
-				// Shedding an open-circuit shard moves the request down
-				// the ring just like a live transport failure would.
-				rt.ctr.failovers.Add(1)
-				continue
-			}
-			actx, acancel := context.WithCancel(ctx)
-			cancels = append(cancels, acancel)
-			header := r.Header.Clone()
-			go func() {
-				d := fault.Contain("cluster.forward", func() {
-					res, retries, err := rt.client.DoRetry(actx, method, "http://"+sh.addr+path, header, body)
-					rt.ctr.retries.Add(int64(retries))
-					resCh <- attempt{sh: sh, res: res, err: err, hedge: hedged}
-				})
-				if d != nil {
-					resCh <- attempt{sh: sh, err: d, hedge: hedged}
-				}
-			}()
-			return true
+		if !routed {
+			routed = true
+			rt.ctr.routed.Add(1)
+		} else {
+			rt.ctr.failovers.Add(1)
 		}
-		return false
-	}
-
-	if !launch(false) {
-		// Every breaker is open: the cluster is unreachable, degrade
-		// immediately rather than queueing on dead sockets.
-		rt.serveLocal(w, r, body)
-		return
-	}
-	rt.ctr.routed.Add(1)
-
-	var hedgeC <-chan time.Time
-	if hedge && len(candidates) > 1 {
-		timer := time.NewTimer(rt.hedgeDelay())
-		defer timer.Stop()
-		hedgeC = timer.C
-	}
-	start := time.Now()
-	pending := 1
-	for { //lint:nopoll every select arm returns or re-arms a bounded attempt, and ctx.Done (RequestTimeout) guarantees exit; this is request plumbing holding no engine context
-		select {
-		case a := <-resCh:
-			pending--
-			a.sh.forwards.Add(1)
-			if a.err == nil {
-				a.sh.breaker.Success()
-				rt.lat.observe(time.Since(start))
-				if a.hedge {
-					rt.ctr.hedgesWon.Add(1)
-				}
-				rt.relay(w, a.res)
-				return
-			}
-			// A loser cancelled after the winner answered never gets
-			// here (the winner returns); a cancellation surfacing here
-			// means the CLIENT's context died — don't blame the shard.
-			if ctx.Err() == nil || !errors.Is(a.err, context.Canceled) {
-				a.sh.breaker.Failure()
-				a.sh.transportErrs.Add(1)
-			}
-			if pending > 0 {
-				continue // the hedge (or primary) is still running
-			}
-			if ctx.Err() != nil {
-				rt.writeError(w, http.StatusGatewayTimeout, "cluster forward: %v", a.err)
-				return
-			}
-			if launch(false) {
-				rt.ctr.failovers.Add(1)
-				pending++
-				continue
-			}
-			rt.serveLocal(w, r, body)
+		var res *Result
+		var err error
+		if d := fault.Contain("cluster.forward", func() {
+			var retries int
+			res, retries, err = rt.client.DoRetry(ctx, http.MethodPost, "http://"+addr+"/solve", r.Header.Clone(), body)
+			rt.ctr.retries.Add(int64(retries))
+		}); d != nil {
+			err = d
+		}
+		sh.forwards.Add(1)
+		if err == nil {
+			sh.breaker.Success()
+			rt.relay(w, res)
 			return
-		case <-hedgeC:
-			hedgeC = nil
-			if launch(true) {
-				rt.ctr.hedgesLaunched.Add(1)
-				pending++
-			}
-		case <-ctx.Done():
-			rt.writeError(w, http.StatusGatewayTimeout, "cluster forward: %v", ctx.Err())
+		}
+		// A cancellation with the request context dead means the
+		// CLIENT went away or the request budget ran out — don't blame
+		// the shard.
+		if ctx.Err() == nil || !errors.Is(err, context.Canceled) {
+			sh.breaker.Failure()
+			sh.transportErrs.Add(1)
+		}
+		if ctx.Err() != nil {
+			rt.writeError(w, http.StatusGatewayTimeout, "cluster forward: %v", err)
 			return
 		}
 	}
+	// Every breaker is open or every shard failed: degrade rather than
+	// queueing on dead sockets.
+	rt.serveLocal(w, r, body)
 }
 
-// forwardBatch routes a POST /batch with failover but no hedging, and
-// rewrites the job id in the 202 so /jobs polls route back to the
+// forwardBatch routes a POST /batch with failover, and rewrites the job id in the 202 so /jobs polls route back to the
 // owning shard.
 func (rt *Router) forwardBatch(w http.ResponseWriter, r *http.Request, key string, body []byte) {
 	candidates := rt.ring.Successors(key, 0)
@@ -620,78 +542,18 @@ func (rt *Router) writeError(w http.ResponseWriter, code int, format string, a .
 	rt.writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, a...)})
 }
 
-// latencies tracks recent forward latencies for the adaptive hedge
-// delay: a fixed ring of samples, p95 computed on demand.
-type latencies struct {
-	mu  sync.Mutex
-	buf [128]time.Duration
-	n   int // total observations
-}
-
-func (l *latencies) observe(d time.Duration) {
-	l.mu.Lock()
-	l.buf[l.n%len(l.buf)] = d
-	l.n++
-	l.mu.Unlock()
-}
-
-// p95 returns the 95th-percentile sample, or 0 until minHedgeSamples
-// observations exist.
-const minHedgeSamples = 16
-
-func (l *latencies) p95() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.n < minHedgeSamples {
-		return 0
-	}
-	n := l.n
-	if n > len(l.buf) {
-		n = len(l.buf)
-	}
-	sorted := make([]time.Duration, n)
-	copy(sorted, l.buf[:n])
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted[(n*95)/100]
-}
-
-// hedgeDelay is the interactive hedging trigger: the configured value
-// when set, otherwise the observed p95 clamped below by hedgeFloor
-// (hedgeDefault until enough samples exist).
-func (rt *Router) hedgeDelay() time.Duration {
-	if rt.cfg.HedgeDelay > 0 {
-		return rt.cfg.HedgeDelay
-	}
-	p := rt.lat.p95()
-	if p == 0 {
-		return hedgeDefault
-	}
-	if p < hedgeFloor {
-		return hedgeFloor
-	}
-	return p
-}
-
 // Stats is the router's GET /stats body: the cluster-wide view — the
-// robustness counters, the hedge delay in force, and one entry per
-// shard with breaker state, health, traffic, and (when reachable) the
+// robustness counters and one entry per shard with breaker state, health, traffic, and (when reachable) the
 // shard's own /stats snapshot embedded verbatim.
 type Stats struct {
-	UptimeMS     float64      `json:"uptime_ms"`
-	Routed       int64        `json:"routed"`
-	Uncanonical  int64        `json:"uncanonical"`
-	Retries      int64        `json:"retries"`
-	Failovers    int64        `json:"failovers"`
-	Hedges       HedgeStats   `json:"hedges"`
-	LocalSolves  int64        `json:"local_solves"`
-	Unroutable   int64        `json:"unroutable"`
-	HedgeDelayMS float64      `json:"hedge_delay_ms"`
-	Shards       []ShardStats `json:"shards"`
-}
-
-type HedgeStats struct {
-	Launched int64 `json:"launched"`
-	Won      int64 `json:"won"`
+	UptimeMS    float64      `json:"uptime_ms"`
+	Routed      int64        `json:"routed"`
+	Uncanonical int64        `json:"uncanonical"`
+	Retries     int64        `json:"retries"`
+	Failovers   int64        `json:"failovers"`
+	LocalSolves int64        `json:"local_solves"`
+	Unroutable  int64        `json:"unroutable"`
+	Shards      []ShardStats `json:"shards"`
 }
 
 type ShardStats struct {
@@ -710,15 +572,13 @@ type ShardStats struct {
 // tests that only want router counters pass false).
 func (rt *Router) Snapshot(fetch bool) Stats {
 	st := Stats{
-		UptimeMS:     float64(time.Since(rt.start)) / float64(time.Millisecond),
-		Routed:       rt.ctr.routed.Load(),
-		Uncanonical:  rt.ctr.uncanonical.Load(),
-		Retries:      rt.ctr.retries.Load(),
-		Failovers:    rt.ctr.failovers.Load(),
-		Hedges:       HedgeStats{Launched: rt.ctr.hedgesLaunched.Load(), Won: rt.ctr.hedgesWon.Load()},
-		LocalSolves:  rt.ctr.localSolves.Load(),
-		Unroutable:   rt.ctr.unroutable.Load(),
-		HedgeDelayMS: float64(rt.hedgeDelay()) / float64(time.Millisecond),
+		UptimeMS:    float64(time.Since(rt.start)) / float64(time.Millisecond),
+		Routed:      rt.ctr.routed.Load(),
+		Uncanonical: rt.ctr.uncanonical.Load(),
+		Retries:     rt.ctr.retries.Load(),
+		Failovers:   rt.ctr.failovers.Load(),
+		LocalSolves: rt.ctr.localSolves.Load(),
+		Unroutable:  rt.ctr.unroutable.Load(),
 	}
 	type fetched struct {
 		i   int

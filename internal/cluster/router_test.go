@@ -64,7 +64,6 @@ func startTestCluster(t *testing.T, n int, mod func(*Config)) ([]*testShard, *Ro
 		ProbeInterval: time.Hour, // one startup probe, then quiet
 		MaxRetries:    -1,        // no retries unless the test wants them
 		RetryBase:     time.Millisecond,
-		HedgeDelay:    time.Hour, // no hedging unless the test wants it
 	}
 	if mod != nil {
 		mod(&cfg)
@@ -165,29 +164,26 @@ func TestRouterFailsOverFromDeadOwner(t *testing.T) {
 	fault.CheckLeaks(t, before)
 }
 
-// TestRouterHedgesSlowOwner pins hedging: an interactive request stuck
-// on a slow owner is duplicated to the successor after the hedge
-// delay, and the first response wins.
-func TestRouterHedgesSlowOwner(t *testing.T) {
-	shards, rt, front := startTestCluster(t, 3, func(c *Config) {
-		c.HedgeDelay = 10 * time.Millisecond
-	})
+// TestRouterSlowOwnerNotDuplicated pins single-owner routing: an
+// interactive request stuck on a slow owner waits for that owner's
+// answer, and no other shard ever sees the request.
+func TestRouterSlowOwnerNotDuplicated(t *testing.T) {
+	shards, rt, front := startTestCluster(t, 3, nil)
 	body := `{"opaque":"slow-owner"}`
 	owner := bodyOwnerIdx(t, shards, body)
-	shards[owner].delayMS.Store(1500)
+	shards[owner].delayMS.Store(300)
 
-	start := time.Now()
 	sr, code := postVia(t, front.URL, "/solve", body)
-	elapsed := time.Since(start)
-	if code != http.StatusOK || sr.Shard == owner {
-		t.Fatalf("hedged request: code %d shard %d (owner %d)", code, sr.Shard, owner)
+	if code != http.StatusOK || sr.Shard != owner {
+		t.Fatalf("slow-owner request: code %d shard %d, want 200 from owner %d", code, sr.Shard, owner)
 	}
-	if elapsed > time.Second {
-		t.Fatalf("hedged request took %v; the hedge should have won long before the owner's 1.5s", elapsed)
+	for i, sh := range shards {
+		if i != owner && sh.hits.Load() != 0 {
+			t.Fatalf("shard %d (not the owner) saw %d requests, want 0", i, sh.hits.Load())
+		}
 	}
-	st := rt.Snapshot(false)
-	if st.Hedges.Launched < 1 || st.Hedges.Won < 1 {
-		t.Fatalf("hedge counters launched=%d won=%d, want both >= 1", st.Hedges.Launched, st.Hedges.Won)
+	if st := rt.Snapshot(false); st.Routed != 1 || st.Failovers != 0 {
+		t.Fatalf("routed=%d failovers=%d, want 1/0", st.Routed, st.Failovers)
 	}
 }
 
@@ -207,7 +203,6 @@ func TestRouterDegradesToLocalSolve(t *testing.T) {
 		BreakerThreshold: 1,
 		MaxRetries:       -1,
 		RetryBase:        time.Millisecond,
-		HedgeDelay:       time.Hour,
 		HopTimeout:       200 * time.Millisecond,
 	})
 	if err != nil {
@@ -316,7 +311,6 @@ func TestRouterBatchAndJobRouting(t *testing.T) {
 		Shards:        addrs,
 		ProbeInterval: time.Hour,
 		MaxRetries:    -1,
-		HedgeDelay:    time.Hour,
 	})
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)

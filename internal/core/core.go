@@ -5,7 +5,7 @@
 // being reported (the validator of §9).
 //
 // The refinement loop can race the case-split branches of a round on
-// worker goroutines (Options.Parallel). The portfolio is deterministic:
+// worker goroutines (Options.Parallel). The race is deterministic:
 // the winner is the lowest-indexed branch whose flattening is
 // satisfiable, exactly the branch the sequential scan would have
 // stopped at, so verdicts and models are identical run to run and
@@ -62,12 +62,6 @@ type Options struct {
 	InitialParams flatten.Params
 	// SkipOverApprox disables the UNSAT gate (for ablation studies).
 	SkipOverApprox bool
-	// OverApproxOnly stops after the over-approximation phase: the gate
-	// plus the case-split enumeration (whose prefixes are pruned by the
-	// same abstraction) may prove UNSAT, and anything else is UNKNOWN
-	// with reason "rounds exhausted". This is the cheap refutation-only
-	// engine the portfolio races alongside the refinement loop.
-	OverApproxOnly bool
 	// Parallel races the case-split branches of each refinement round
 	// on up to this many worker goroutines. Values <= 1 solve
 	// sequentially. The verdict and model are identical either way.
@@ -112,10 +106,6 @@ type Result struct {
 	// Fault is the diagnostic of a panic contained at the solve or
 	// branch boundary; nil when nothing panicked.
 	Fault *fault.Diagnostic
-	// Backend names the engine that produced the verdict when the solve
-	// went through the backend registry or the portfolio scheduler;
-	// empty for a direct core solve.
-	Backend string
 	// Stats is the statistics tree of the solve (never nil).
 	Stats *engine.Stats
 }
@@ -224,14 +214,6 @@ func solveCtx(prob *strcon.Problem, opts Options, ec *engine.Ctx) Result {
 		maxRounds = 3
 	}
 
-	if opts.OverApproxOnly {
-		// The abstraction could not refute every branch; refinement is
-		// someone else's job (the portfolio races a refining backend).
-		r := Result{Status: StatusUnknown, Stats: st}
-		r.Reason = unknownReason(ec, &r)
-		return r
-	}
-
 	states := make([]*branchState, len(branches))
 	for i, b := range branches {
 		states[i] = &branchState{branch: b}
@@ -269,16 +251,6 @@ func solveCtx(prob *strcon.Problem, opts Options, ec *engine.Ctx) Result {
 	}
 	out.Reason = unknownReason(ec, &out)
 	return out
-}
-
-// UnknownReason classifies an UNKNOWN verdict for a context-driven
-// engine with no richer result state: the standard taxonomy minus the
-// result-only causes (validation failure, contained panic). Backends
-// wrapping the baseline solvers use it so their UNKNOWNs speak the
-// same language as the core's.
-func UnknownReason(ec *engine.Ctx) string {
-	var r Result
-	return unknownReason(ec, &r)
 }
 
 // unknownReason classifies an UNKNOWN verdict by why the solve gave

@@ -6,9 +6,8 @@
 //
 // A Ctx forms a tree: Child contexts observe the parent's cancellation
 // and deadline, while cancelling a child leaves the parent (and the
-// child's siblings) running. That asymmetry is what lets the parallel
-// portfolio core race independent case-split branches and cancel the
-// losers. All Ctx and Stats methods are safe on a nil receiver (a nil
+// child's siblings) running. That asymmetry is what lets the core race
+// independent case-split branches in parallel and cancel the losers. All Ctx and Stats methods are safe on a nil receiver (a nil
 // Ctx never expires, a nil Stats records nothing) and safe for
 // concurrent use.
 package engine
@@ -364,9 +363,9 @@ func (c *Ctx) BudgetReason() string {
 // they share the same governor pointer (the pool is global to that
 // subtree), so sibling branches observe the stop through
 // cancelRequested. Where an ancestor carries a different meter — a
-// portfolio attempt running under its own budget slice via SetBudget —
-// the walk stops, confining the trip to the attempt and leaving the
-// other racing attempts (and the race's parent) running.
+// child given its own budget slice via SetBudget — the walk stops,
+// confining the trip to that child's subtree and leaving its siblings
+// (and the parent) running.
 func (c *Ctx) tripBudget(site string) {
 	if c.gov != nil {
 		c.gov.trip(site)

@@ -50,11 +50,11 @@ func TestBudgetTripStopsTreeWithReason(t *testing.T) {
 	}
 }
 
-// TestBudgetSliceConfinedToSubtree pins the portfolio contract: when a
-// child installs its own budget slice via SetBudget, exhausting the
-// slice stops only that child's subtree. The parent and the sibling
-// attempts (racing the same problem under their own slices) keep
-// running.
+// TestBudgetSliceConfinedToSubtree pins the nested-budget contract:
+// when a child installs its own budget slice via SetBudget, exhausting
+// the slice stops only that child's subtree. The parent and the
+// sibling attempts (racing the same problem under their own slices)
+// keep running.
 func TestBudgetSliceConfinedToSubtree(t *testing.T) {
 	root := Background()
 	a := root.Child("try.a")

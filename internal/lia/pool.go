@@ -48,8 +48,8 @@ func (p *Pool) Name(v Var) string {
 func (p *Pool) Size() int { return len(p.names) }
 
 // Clone returns an independent copy of the pool: variables allocated in
-// the clone do not affect the original (and vice versa). The parallel
-// portfolio core gives each case-split branch a cloned pool so
+// the clone do not affect the original (and vice versa). The core's
+// parallel case-split race gives each branch a cloned pool so
 // concurrent flattenings allocate identically numbered variables.
 func (p *Pool) Clone() *Pool {
 	return &Pool{names: append([]string(nil), p.names...)}

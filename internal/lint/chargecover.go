@@ -24,7 +24,7 @@ var chargeCover = &Analyzer{
 	Doc:  "growth sites in unbounded cycles not metered by an engine.Ctx.Charge",
 	Scope: scopeFor("chargecover",
 		"internal/pfa", "internal/sat", "internal/simplex", "internal/baseline",
-		"internal/portfolio", "internal/cluster"),
+		"internal/cluster"),
 	Run: runChargeCover,
 }
 

@@ -123,8 +123,8 @@ func TestStaleSuppFixtures(t *testing.T) {
 func TestContainRecoverFixtures(t *testing.T) {
 	checkFixture(t, "containrecover_bad", containRecover)
 	checkFixture(t, "containrecover_good", containRecover)
-	// The portfolio pair: racing backend goroutines outside/inside a
-	// fault.Contain boundary.
+	// The racing pair: goroutines racing engines outside/inside a
+	// fault.Contain boundary, the shape of parallel case-split branches.
 	checkFixture(t, "containrecover_race_bad", containRecover)
 	checkFixture(t, "containrecover_race_good", containRecover)
 }

@@ -4,8 +4,8 @@ package lint
 // solver packages: every cycle a solve can stay in for an unbounded
 // number of iterations must observe the engine context — via Poll,
 // Expired, or Charge (which polls) — on EVERY path through the cycle,
-// so a deadline, budget trip, or portfolio cancellation always
-// reaches it. The predecessor check (ctxpoll) was syntactic: it only
+// so a deadline, budget trip, or the cancellation of a losing parallel
+// case-split branch always reaches it. The predecessor check (ctxpoll) was syntactic: it only
 // looked at `for {}` loops and only for a poll call anywhere in the
 // body. pollpath walks the CFG instead: it finds every back edge,
 // skips loops whose iteration count is structurally bounded (range
@@ -23,11 +23,10 @@ import (
 )
 
 var pollPath = &Analyzer{
-	Name: "pollpath",
-	Doc:  "unbounded solver cycles with a path that never polls the engine context",
-	Scope: scopeFor("pollpath", "internal/sat", "internal/simplex", "internal/portfolio",
-		"internal/cluster"),
-	Run: runPollPath,
+	Name:  "pollpath",
+	Doc:   "unbounded solver cycles with a path that never polls the engine context",
+	Scope: scopeFor("pollpath", "internal/sat", "internal/simplex", "internal/cluster"),
+	Run:   runPollPath,
 }
 
 // pollMethods are the engine.Ctx methods that count as observing

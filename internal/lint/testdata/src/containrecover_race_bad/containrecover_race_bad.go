@@ -1,5 +1,5 @@
 // Package containrecover_race_bad holds the failing half of the
-// portfolio fixture pair: racing backend goroutines launched without a
+// racing fixture pair: goroutines racing engines, launched without a
 // fault.Contain panic boundary. A panicking backend would kill the
 // whole process instead of degrading to one lost race attempt.
 package containrecover_race_bad

@@ -1,5 +1,5 @@
 // Package containrecover_race_good holds the passing half of the
-// portfolio fixture pair: racing backend goroutines whose bodies run
+// racing fixture pair: goroutines racing engines, whose bodies run
 // under a fault.Contain boundary, so a crashing engine degrades to one
 // lost race attempt instead of a process death.
 package containrecover_race_good
@@ -21,8 +21,8 @@ type backend interface {
 	Solve() int
 }
 
-// race is the portfolio idiom: the go literal's body calls Contain
-// directly, so the boundary is provably on the spawned goroutine.
+// race has the shape of a parallel branch race: the go literal's body
+// calls Contain directly, so the boundary is provably on the goroutine.
 func race(pool []backend, out chan<- int) {
 	var wg sync.WaitGroup
 	for _, b := range pool {

@@ -59,7 +59,6 @@ type instanceResult struct {
 	Model     *modelJSON   `json:"model,omitempty"`
 	Witness   *witnessJSON `json:"witness,omitempty"`
 	Canonical string       `json:"canonical_hash,omitempty"`
-	Backend   string       `json:"backend,omitempty"`
 	Cached    bool         `json:"cached,omitempty"`
 	Coalesced bool         `json:"coalesced,omitempty"`
 	TimedOut  bool         `json:"timed_out,omitempty"`
@@ -359,8 +358,7 @@ func (s *Server) dispatchInstance(bj *batchJob, idx int, script *smtlib.Script, 
 func instanceFromResponse(r solveResponse) instanceResult {
 	return instanceResult{
 		Status: r.Status, Model: r.Model, Witness: r.Witness,
-		Canonical: r.Canonical, Backend: r.Backend,
-		Cached: r.Cached, Coalesced: r.Coalesced,
+		Canonical: r.Canonical, Cached: r.Cached, Coalesced: r.Coalesced,
 		TimedOut: r.TimedOut, Reason: r.Reason,
 		Error: r.Error, FaultID: r.FaultID,
 	}
@@ -371,7 +369,6 @@ func instanceFromResponse(r solveResponse) instanceResult {
 func instanceFromOutcome(script *smtlib.Script, canon *smtlib.Canon, out jobOutcome) instanceResult {
 	res := instanceResult{
 		Status:   out.res.Status.String(),
-		Backend:  out.res.Backend,
 		TimedOut: out.ec.TimedOut(),
 		Reason:   out.res.Reason,
 	}

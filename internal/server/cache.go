@@ -20,7 +20,6 @@ import (
 type verdict struct {
 	status  core.Status
 	witness *smtlib.Witness // canonical coordinates; nil for UNSAT
-	backend string          // engine that settled it ("" for a direct core solve)
 }
 
 // lruCache is a size-bounded verdict cache keyed by canonical hash,

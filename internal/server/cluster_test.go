@@ -294,7 +294,6 @@ func TestClusterNetworkChaosSweep(t *testing.T) {
 			ProbeInterval: time.Hour, // quiet probes: hop counts stay deterministic
 			MaxRetries:    2,
 			RetryBase:     time.Millisecond,
-			HedgeDelay:    time.Hour, // no hedges: one hop per clean request
 			HopTimeout:    300 * time.Millisecond,
 			Fault:         sched,
 		})

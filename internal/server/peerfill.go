@@ -32,7 +32,7 @@ func (s *Server) handleCacheEntry(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, "no cached verdict for %q", hash)
 		return
 	}
-	e := cluster.CacheEntry{Backend: v.backend}
+	var e cluster.CacheEntry
 	switch v.status {
 	case core.StatusSat:
 		if v.witness == nil {
@@ -82,9 +82,9 @@ func (s *Server) peerFill(r *http.Request, script *smtlib.Script, canon *smtlib.
 			s.ctr.peerErrors.Add(1)
 			return solveResponse{}, false
 		}
-		v = verdict{status: core.StatusSat, witness: wit, backend: e.Backend}
+		v = verdict{status: core.StatusSat, witness: wit}
 	case "unsat":
-		v = verdict{status: core.StatusUnsat, backend: e.Backend}
+		v = verdict{status: core.StatusUnsat}
 	default:
 		return solveResponse{}, false
 	}
@@ -99,12 +99,7 @@ func (s *Server) peerFill(r *http.Request, script *smtlib.Script, canon *smtlib.
 	s.ctr.peerFills.Add(1)
 	// Adopt the verdict locally so the next request is a plain hit and
 	// the owner is asked once per shard, not once per request.
-	switch v.status {
-	case core.StatusSat:
-		s.cache.put(canon.Hash, verdict{status: core.StatusSat, witness: v.witness, backend: v.backend})
-	case core.StatusUnsat:
-		s.cache.put(canon.Hash, verdict{status: core.StatusUnsat, backend: v.backend})
-	}
+	s.cache.put(canon.Hash, v)
 	return resp, true
 }
 

@@ -12,12 +12,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/backend"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fault"
-	"repro/internal/portfolio"
 	"repro/internal/smtlib"
 	"repro/internal/strcon"
 )
@@ -45,12 +43,6 @@ type Config struct {
 	// Solve configures the engine (parallel case splits, incremental
 	// mode). Timeout inside it is ignored — deadlines are per request.
 	Solve core.Options
-	// Portfolio routes solves through the racing portfolio scheduler
-	// instead of the single refinement engine. Backends selects its
-	// candidate pool (nil = the whole backend registry); it is ignored
-	// when Portfolio is false.
-	Portfolio bool
-	Backends  []backend.Backend
 	// MemBudget is the per-solve resource-governor budget in units
 	// (0 = unlimited). A request may lower it with budget_units but
 	// never raise it past this cap.
@@ -130,11 +122,6 @@ type Server struct {
 	cfg   Config
 	cache *lruCache
 	mux   *http.ServeMux
-
-	// portfolio is the shared racing scheduler (nil unless
-	// Config.Portfolio): its win/loss history accumulates across
-	// requests, so the server's scheduling improves as it serves.
-	portfolio *portfolio.Solver
 
 	// sched is the two-class, tenant-fair priority queue in front of
 	// the worker pool; flights coalesces concurrent identical
@@ -257,9 +244,6 @@ func New(cfg Config) *Server {
 		start:   time.Now(),
 	}
 	s.tenants.pools = make(map[string]*engine.Pool)
-	if cfg.Portfolio {
-		s.portfolio = portfolio.New(portfolio.Config{Backends: cfg.Backends})
-	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /solve", s.handleSolve)
 	s.mux.HandleFunc("POST /batch", s.handleBatch)
@@ -370,11 +354,7 @@ type solveResponse struct {
 	Model     *modelJSON   `json:"model,omitempty"`
 	Witness   *witnessJSON `json:"witness,omitempty"`
 	Canonical string       `json:"canonical_hash,omitempty"`
-	// Backend names the engine that produced the verdict (the race
-	// winner under -portfolio; on cache hits, the engine that settled
-	// the cached entry). Empty for a direct core solve.
-	Backend string `json:"backend,omitempty"`
-	Cached  bool   `json:"cached"`
+	Cached    bool         `json:"cached"`
 	// PeerFilled marks a cached verdict obtained from the canonical
 	// hash's owner shard (peer cache-fill) rather than solved here.
 	PeerFilled bool `json:"peer_filled,omitempty"`
@@ -717,7 +697,6 @@ func (s *Server) cacheLookup(script *smtlib.Script, canon *smtlib.Canon, start t
 func (s *Server) renderVerdict(script *smtlib.Script, canon *smtlib.Canon, v verdict, cached, coalesced bool, start time.Time) (solveResponse, bool) {
 	resp := solveResponse{
 		Canonical: canon.Hash,
-		Backend:   v.backend,
 		Cached:    cached,
 		Coalesced: coalesced,
 	}
@@ -744,7 +723,6 @@ func (s *Server) renderVerdict(script *smtlib.Script, canon *smtlib.Canon, v ver
 func (s *Server) outcomeResponse(script *smtlib.Script, canon *smtlib.Canon, out jobOutcome, start time.Time) solveResponse {
 	resp := solveResponse{
 		Status:    out.res.Status.String(),
-		Backend:   out.res.Backend,
 		Rounds:    out.res.Rounds,
 		TimedOut:  out.ec.TimedOut(),
 		ElapsedMS: msSince(start),
@@ -812,11 +790,6 @@ func (s *Server) runJob(j *job) {
 				reason = ec.Cause().String()
 			}
 			res = core.Result{Status: core.StatusUnknown, Reason: reason}
-		} else if s.portfolio != nil {
-			res = s.portfolio.Solve(j.script.Problem, backend.Options{
-				Parallel:  s.cfg.Solve.Parallel,
-				MaxRounds: s.cfg.Solve.MaxRounds,
-			}, ec)
 		} else {
 			res = core.SolveCtx(j.script.Problem, s.cfg.Solve, ec)
 		}
@@ -851,10 +824,9 @@ func (s *Server) runJob(j *job) {
 			s.cache.put(j.canon.Hash, verdict{
 				status:  core.StatusSat,
 				witness: j.canon.WitnessOf(res.Model),
-				backend: res.Backend,
 			})
 		case core.StatusUnsat:
-			s.cache.put(j.canon.Hash, verdict{status: core.StatusUnsat, backend: res.Backend})
+			s.cache.put(j.canon.Hash, verdict{status: core.StatusUnsat})
 		}
 	}
 	s.finish(j, res, ec, queued)
@@ -868,7 +840,7 @@ func (s *Server) finish(j *job, res core.Result, ec *engine.Ctx, queued time.Dur
 	if j.fl != nil {
 		settled := (res.Status == core.StatusSat || res.Status == core.StatusUnsat) && !ec.Expired()
 		if settled {
-			v := verdict{status: res.Status, backend: res.Backend}
+			v := verdict{status: res.Status}
 			if res.Status == core.StatusSat {
 				v.witness = j.canon.WitnessOf(res.Model)
 			}
@@ -941,12 +913,9 @@ type statsResponse struct {
 	Cluster *clusterStats `json:"cluster,omitempty"`
 	// Tenants lists the per-tenant budget pools in first-seen order
 	// (empty unless the server runs with a tenant budget).
-	Tenants []tenantStat `json:"tenants,omitempty"`
-	Faults  faultStats   `json:"faults"`
-	// Portfolio reports the racing scheduler's cumulative win rates and
-	// recent decisions; absent unless the server runs with -portfolio.
-	Portfolio *portfolio.Snapshot `json:"portfolio,omitempty"`
-	Engine    *engine.Snapshot    `json:"engine"`
+	Tenants []tenantStat     `json:"tenants,omitempty"`
+	Faults  faultStats       `json:"faults"`
+	Engine  *engine.Snapshot `json:"engine"`
 }
 
 // faultStats surfaces contained panics: the total and the most recent
@@ -1077,11 +1046,10 @@ func (s *Server) snapshotStats() statsResponse {
 			Drained:   s.ctr.batchDrained.Load(),
 			Stored:    s.store.len(),
 		},
-		Cluster:   s.snapshotCluster(),
-		Tenants:   s.snapshotTenants(),
-		Faults:    s.snapshotFaults(),
-		Portfolio: s.snapshotPortfolio(),
-		Engine:    s.stats.Snapshot(),
+		Cluster: s.snapshotCluster(),
+		Tenants: s.snapshotTenants(),
+		Faults:  s.snapshotFaults(),
+		Engine:  s.stats.Snapshot(),
 	}
 }
 
@@ -1116,14 +1084,6 @@ func (s *Server) snapshotCluster() *clusterStats {
 		return nil
 	}
 	return &cs
-}
-
-func (s *Server) snapshotPortfolio() *portfolio.Snapshot {
-	if s.portfolio == nil {
-		return nil
-	}
-	snap := s.portfolio.Snapshot()
-	return &snap
 }
 
 func (s *Server) snapshotFaults() faultStats {
