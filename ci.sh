@@ -40,8 +40,12 @@ echo "==> cancellation and equivalence tests (-race)"
 # solver sessions under Options.Parallel are the newest shared-state
 # hazard, and the trauserve mixed-load test exercises the admission
 # gate, verdict cache, and merged stats tree under concurrent clients.
+# The simplex equivalence tests ride along too: the pinned pivot
+# trajectory and the compact-vs-wide scratch comparison check that the
+# violated-row worklist and the compact core-shrinking tableau search
+# exactly as the full scans they replaced did.
 # Run them first and explicitly so a hang here is attributed correctly.
-go test -race -run 'Cancel|Deadline|Timeout|Parallel|Incremental|Concurrent|FailsOver' \
+go test -race -run 'Cancel|Deadline|Timeout|Parallel|Incremental|Concurrent|FailsOver|PivotTrajectory|SubsetCheckMatches' \
     ./internal/sat ./internal/simplex ./internal/lia \
     ./internal/core ./internal/baseline ./internal/bench \
     ./internal/cluster

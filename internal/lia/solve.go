@@ -38,9 +38,6 @@ type Options struct {
 	// tree the search records into. A stopped context aborts the search
 	// with ResUnknown.
 	Ctx *engine.Ctx
-	// MaxIterations is retained for compatibility; the online engine
-	// does not use it.
-	MaxIterations int
 	// SatConflictBudget bounds conflicts per SAT call.
 	SatConflictBudget int64
 	// BBNodeBudget bounds branch-and-bound nodes per final check.
@@ -602,12 +599,53 @@ func (d *dpllt) chunkShrink(core []int, maxChecks int) []int {
 // asserted atoms on a scratch simplex; when infeasible it may return a
 // smaller verified core.
 func (d *dpllt) subsetCheck(subset []int) (infeasible bool, subcore []int) {
-	maxSv := d.sx.NumVars()
-	scratch := simplex.New(maxSv)
+	scratch, intVars, c := d.subsetScratch(subset)
+	if c == nil {
+		bb := &simplex.IntSolver{S: scratch, IntVars: intVars, NodeBudget: d.opts.BBNodeBudget / 8}
+		var res simplex.IntResult
+		res, _, c = bb.Solve()
+		if res != simplex.IntUnsat {
+			return false, nil
+		}
+	}
+	if c != nil && !c.Tainted {
+		return true, c.Tags
+	}
+	return true, nil
+}
+
+// subsetScratch builds subsetCheck's scratch simplex with the subset's
+// atoms asserted and returns it with its integer variables, or with
+// the conflict an assert raised.
+//
+// The scratch tableau is as wide as the subset, not the search: the
+// problem variables of the subset's expressions are numbered 0..m-1 in
+// the order of their search-tableau ids, and slacks follow in
+// definition order. The numbering keeps every id comparison (Bland's
+// rule, the Markowitz and largest-violation tie-breaks, the branch
+// order), so the pivots and cores are those of a full-width scratch.
+func (d *dpllt) subsetScratch(subset []int) (*simplex.Solver, []int, *simplex.Conflict) {
+	local := make(map[int]int)
+	var ids []int
+	for _, i := range subset {
+		for _, v := range d.exprs[d.atoms[i].exprKey].vars {
+			sv := d.svOf(v)
+			if _, ok := local[sv]; !ok {
+				local[sv] = -1
+				ids = append(ids, sv)
+			}
+		}
+	}
+	sort.Ints(ids)
+	intVars := make([]int, len(ids))
+	for k, sv := range ids {
+		local[sv] = k
+		intVars[k] = k
+	}
+	scratch := simplex.New(len(ids))
 	scratch.PivotBudget = d.opts.PivotBudget / 4
 	scratch.Ctx = d.opts.Ctx
 	slackOf := make(map[string]int)
-	intVarsSet := make(map[int]bool)
 	for _, i := range subset {
 		a := d.atoms[i]
 		er := d.exprs[a.exprKey]
@@ -616,23 +654,18 @@ func (d *dpllt) subsetCheck(subset []int) (infeasible bool, subcore []int) {
 			if len(er.def) == 1 {
 				v := er.vars[0]
 				if er.def[v].Cmp(oneInt) == 0 {
-					sv = d.svOf(v)
+					sv = local[d.svOf(v)]
 					ok = true
 				}
 			}
 			if !ok {
-				// er.vars, not er.def: svOf may allocate, so the visit
-				// order must be fixed.
 				idef := make(map[int]*big.Int, len(er.def))
 				for _, v := range er.vars {
-					idef[d.svOf(v)] = er.def[v]
+					idef[local[d.svOf(v)]] = er.def[v]
 				}
 				sv = scratch.DefineSlack(idef)
 			}
 			slackOf[a.exprKey] = sv
-		}
-		for _, v := range er.vars {
-			intVarsSet[d.svOf(v)] = true
 		}
 		pol := d.assertedPol[i] == 1
 		var c *simplex.Conflict
@@ -647,24 +680,8 @@ func (d *dpllt) subsetCheck(subset []int) (infeasible bool, subcore []int) {
 			c = scratch.AssertUpperNum(sv, a.negNum, i)
 		}
 		if c != nil {
-			if !c.Tainted {
-				return true, c.Tags
-			}
-			return true, nil
+			return scratch, intVars, c
 		}
 	}
-	intVars := make([]int, 0, len(intVarsSet))
-	for v := range intVarsSet {
-		intVars = append(intVars, v)
-	}
-	sort.Ints(intVars)
-	bb := &simplex.IntSolver{S: scratch, IntVars: intVars, NodeBudget: d.opts.BBNodeBudget / 8}
-	res, _, c := bb.Solve()
-	if res != simplex.IntUnsat {
-		return false, nil
-	}
-	if c != nil && !c.Tainted {
-		return true, c.Tags
-	}
-	return true, nil
+	return scratch, intVars, nil
 }

@@ -91,3 +91,51 @@ func benchmarkCheck(b *testing.B) {
 		s.Pop()
 	}
 }
+
+// BenchmarkCheckWideTableau is BenchmarkCheck on a tableau of five
+// thousand variables where each Check starts from a handful of violated
+// rows, so it measures what Check pays for the rows it does not touch.
+// The tableau is a thousand independent blocks, a slack over four boxed
+// variables each, so pivots cannot fill it in and every iteration costs
+// the same.
+func BenchmarkCheckWideTableau(b *testing.B) {
+	const blocks, w = 1000, 4
+	s := New(blocks * w)
+	for v := 0; v < blocks*w; v++ {
+		s.AssertLower(v, big.NewRat(-3, 1), NoTag)
+		s.AssertUpper(v, big.NewRat(3, 1), NoTag)
+	}
+	coefs := [w]int64{1, 2, -3, 1}
+	slacks := make([]int, blocks)
+	for k := range slacks {
+		def := make(map[int]*big.Int, w)
+		for j, c := range coefs {
+			def[k*w+j] = big.NewInt(c)
+		}
+		slacks[k] = s.DefineSlack(def)
+	}
+	lo := NumFromInt64(5)
+	hi := NumFromInt64(-5)
+	up := make([]bool, blocks)
+	pivots := s.Pivots
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Four blocks spread over the tableau, each slack pushed to the
+		// side opposite its last visit, so every assert breaks a bound.
+		s.Push()
+		for k := 0; k < 4; k++ {
+			r := (4*i + k) * 7 % blocks
+			if up[r] = !up[r]; up[r] {
+				s.AssertLowerNum(slacks[r], lo, NoTag)
+			} else {
+				s.AssertUpperNum(slacks[r], hi, NoTag)
+			}
+		}
+		if c := s.Check(); c != nil {
+			b.Fatalf("iter %d: unexpected conflict %+v", i, c)
+		}
+		s.Pop()
+	}
+	b.ReportMetric(float64(s.Pivots-pivots)/float64(b.N), "pivots/op")
+}

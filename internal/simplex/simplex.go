@@ -72,6 +72,9 @@ type Solver struct {
 	defs         map[int]map[int]*big.Int
 	baseTerms    int
 	lastRefactor int64
+	// rowTerms is the number of entries over all rows, kept current so
+	// the fill-in test does not walk the tableau on every Check.
+	rowTerms int
 
 	// Scratch buffers for the pivot substitution merge and the column
 	// snapshot, reused across pivots so the hot loop does not allocate.
@@ -83,11 +86,14 @@ type Solver struct {
 	undo   []boundChange
 	frames []int // marks into undo
 
-	// dirty records that some basic variable may violate a bound, so
-	// Check must actually pivot. Asserting a bound on a nonbasic
-	// variable keeps the tableau feasible (the assignment is updated in
-	// place), which makes most Check calls O(1).
-	dirty bool
+	// work lists the basic variables that may violate a bound, and
+	// inWork is its membership bitmap. Invariant: every basic variable
+	// outside its bounds is on the list. Values and bounds move only in
+	// update, pivotAndUpdate, pivot, the asserts and refactorize, and
+	// each enqueues what it touches, so Check scans the list instead of
+	// the tableau and an empty list means the tableau is feasible.
+	work   []int32
+	inWork []bool
 
 	// Pivots counts pivot operations, for diagnostics and budgets.
 	Pivots int64
@@ -120,6 +126,7 @@ func New(n int) *Solver {
 	s.upper = make([]bound, n)
 	s.rows = make([]*srow, n)
 	s.cols = make([][]int32, n)
+	s.inWork = make([]bool, n)
 	return s
 }
 
@@ -140,6 +147,7 @@ func (s *Solver) EnsureVars(n int) {
 		s.upper = append(s.upper, bound{})
 		s.rows = append(s.rows, nil)
 		s.cols = append(s.cols, nil)
+		s.inWork = append(s.inWork, false)
 	}
 	s.n = n
 }
@@ -215,7 +223,13 @@ func (s *Solver) DefineSlack(def map[int]*big.Int) int {
 	s.beta = append(s.beta, val) // val is dead after this; the slot takes ownership
 	s.rows = append(s.rows, row)
 	s.cols = append(s.cols, nil)
+	// The new slack has no bounds yet, so it cannot be violated and
+	// stays off the worklist until an assert puts it there. Enqueueing
+	// it here would make the next Check look for a refactorization the
+	// tableau did not ask for.
+	s.inWork = append(s.inWork, false)
 	s.baseTerms += len(stored)
+	s.rowTerms += len(row.idx)
 	// Bill the new row against the resource budget: tableau growth is a
 	// known memory blow-up site. A trip stops the Ctx; the next Check
 	// observes it and returns a budget conflict, so the caller unwinds
@@ -236,6 +250,7 @@ func (s *Solver) refactorize() {
 	for v := range s.cols {
 		s.cols[v] = s.cols[v][:0]
 	}
+	s.rowTerms = 0
 	ids := make([]int, 0, len(s.defs))
 	for id := range s.defs {
 		ids = append(ids, id)
@@ -264,7 +279,9 @@ func (s *Solver) refactorize() {
 			val.addMul(&rc, &s.beta[v])
 		}
 		s.rows[id] = row
+		s.rowTerms += len(row.idx)
 		s.beta[id].set(&val)
+		s.enqueue(id)
 	}
 	// Restore the nonbasic-within-bounds invariant for problem vars.
 	for v := 0; v < s.n; v++ {
@@ -277,7 +294,6 @@ func (s *Solver) refactorize() {
 			s.update(v, &s.upper[v].val)
 		}
 	}
-	s.dirty = true
 }
 
 // maybeRefactorize rebuilds the tableau when fill-in has grown it far
@@ -287,16 +303,18 @@ func (s *Solver) maybeRefactorize() {
 	if s.Pivots-s.lastRefactor < 2000 { //lint:nooverflow Pivots is a monotone counter far below int64 range
 		return
 	}
-	total := 0
-	for _, row := range s.rows {
-		if row != nil {
-			total += len(row.idx)
-		}
-	}
-	if total > 6*s.baseTerms+1024 {
+	if s.rowTerms > 6*s.baseTerms+1024 {
 		s.refactorize()
 		s.Refactors++ //lint:nooverflow diagnostic counter, bounded by Pivots/2000
 		s.lastRefactor = s.Pivots
+	}
+}
+
+// enqueue puts basic variable v on the worklist unless it is there.
+func (s *Solver) enqueue(v int) {
+	if !s.inWork[v] {
+		s.inWork[v] = true
+		s.work = append(s.work, int32(v))
 	}
 }
 
@@ -382,7 +400,7 @@ func (s *Solver) assertUpper(v int, c *rval, tag int) *Conflict {
 	s.upper[v] = nb
 	if s.rows[v] != nil {
 		if s.beta[v].cmp(c) > 0 {
-			s.dirty = true
+			s.enqueue(v)
 		}
 	} else if s.beta[v].cmp(c) > 0 {
 		s.update(v, c)
@@ -419,7 +437,7 @@ func (s *Solver) assertLower(v int, c *rval, tag int) *Conflict {
 	s.lower[v] = nb
 	if s.rows[v] != nil {
 		if s.beta[v].cmp(c) < 0 {
-			s.dirty = true
+			s.enqueue(v)
 		}
 	} else if s.beta[v].cmp(c) < 0 {
 		s.update(v, c)
@@ -446,7 +464,7 @@ func (s *Solver) mkConflict(bs []bound) *Conflict {
 
 // update sets the value of nonbasic variable j to v, adjusting all
 // basic variables whose rows mention j. Adjusted basic variables may
-// leave their bounds, so the tableau is marked dirty.
+// leave their bounds, so each goes on the worklist.
 func (s *Solver) update(j int, v *rval) {
 	var theta rval
 	theta.sub(v, &s.beta[j])
@@ -458,13 +476,14 @@ func (s *Solver) update(j int, v *rval) {
 			continue
 		}
 		s.beta[r].addMul(&row.coef[p], &theta)
-		s.dirty = true
+		s.enqueue(r)
 	}
 	s.beta[j].set(v)
 }
 
 // pivotAndUpdate makes nonbasic j basic in place of basic i, setting
-// x_i's value to v (one of its violated bounds).
+// x_i's value to v (one of its violated bounds). Every row it adjusts
+// goes on the worklist; i leaves the basis and drops off lazily.
 func (s *Solver) pivotAndUpdate(i, j int, v *rval) {
 	s.Pivots++ //lint:nooverflow monotone diagnostic counter; budgets trip long before int64 wraps
 	rowI := s.rows[i]
@@ -485,11 +504,13 @@ func (s *Solver) pivotAndUpdate(i, j int, v *rval) {
 			continue
 		}
 		s.beta[r].addMul(&row.coef[p], &theta)
+		s.enqueue(r)
 	}
 	s.pivot(i, j)
 }
 
-// pivot swaps basic i with nonbasic j.
+// pivot swaps basic i with nonbasic j. The entering j may sit outside
+// its bounds, so it goes on the worklist.
 func (s *Solver) pivot(i, j int) {
 	row := s.rows[i]
 	pj := row.find(int32(j))
@@ -540,6 +561,7 @@ func (s *Solver) pivot(i, j int) {
 	s.colAdd(i, j)
 	s.rows[j] = row
 	s.rows[i] = nil
+	s.enqueue(j)
 	// Pivot fill-in is the other way the tableau grows; bill the cells
 	// so dense instances trip the budget instead of exhausting memory.
 	s.Ctx.Charge("simplex tableau", int64(len(row.idx)))
@@ -610,6 +632,7 @@ func (s *Solver) mergeScaled(r int, rr *srow, pj int, src *srow) {
 	// the next merge's scratch. Every merged slot was written via
 	// set/mul (deep copies), so no slot shares a wide with the old row.
 	oldIdx, oldCoef := rr.idx, rr.coef
+	s.rowTerms += len(mi) - len(oldIdx)
 	rr.idx, rr.coef = mi, mc
 	s.mergeIdx, s.mergeCoef = oldIdx[:0], oldCoef[:0]
 }
@@ -618,7 +641,7 @@ func (s *Solver) mergeScaled(r int, rr *srow, pj int, src *srow) {
 // success, or a conflict explaining infeasibility. On success every
 // variable's value (Value) respects its bounds.
 func (s *Solver) Check() *Conflict {
-	if !s.dirty {
+	if len(s.work) == 0 {
 		return nil
 	}
 	s.maybeRefactorize()
@@ -635,38 +658,8 @@ func (s *Solver) Check() *Conflict {
 			return &Conflict{Tainted: true, Budget: true}
 		}
 		bland := s.Pivots >= blandAfter
-		i := -1
-		var needLower, haveWorst bool
-		// The scan runs in ascending variable order, so on ties the
-		// smallest basic variable wins — same tie-break as before, now
-		// implicit in the iteration order.
-		for r := 0; r < s.n; r++ {
-			if s.rows[r] == nil {
-				continue
-			}
-			var below bool
-			if s.lower[r].set && s.beta[r].cmp(&s.lower[r].val) < 0 {
-				below = true
-			} else if !(s.upper[r].set && s.beta[r].cmp(&s.upper[r].val) > 0) {
-				continue
-			}
-			if bland {
-				i, needLower = r, below
-				break // ascending scan: first violated is the smallest
-			}
-			if below {
-				viol.sub(&s.lower[r].val, &s.beta[r])
-			} else {
-				viol.sub(&s.beta[r], &s.upper[r].val)
-			}
-			if !haveWorst || viol.cmp(&worst) > 0 {
-				worst.set(&viol)
-				haveWorst = true
-				i, needLower = r, below
-			}
-		}
+		i, needLower := s.selectViolated(bland, &viol, &worst)
 		if i == -1 {
-			s.dirty = false
 			return nil
 		}
 		row := s.rows[i]
@@ -728,6 +721,55 @@ func (s *Solver) Check() *Conflict {
 			s.pivotAndUpdate(i, j, &s.upper[i].val)
 		}
 	}
+}
+
+// selectViolated picks the basic variable Check repairs next and
+// reports whether it lies below its lower bound; it returns -1 when no
+// basic variable is out of bounds. Only the worklist is scanned, and
+// entries that are nonbasic or within their bounds are dropped from it.
+// The rule is the largest violation, ties going to the smallest id, or
+// under Bland's rule the smallest violated id. The worklist is
+// unordered, so both tie-breaks compare ids explicitly. viol and worst
+// are the caller's scratch.
+func (s *Solver) selectViolated(bland bool, viol, worst *rval) (int, bool) {
+	i := -1
+	var needLower bool
+	kept := s.work[:0]
+	for _, r32 := range s.work {
+		r := int(r32)
+		var below bool
+		switch {
+		case s.rows[r] == nil:
+			s.inWork[r] = false
+			continue
+		case s.lower[r].set && s.beta[r].cmp(&s.lower[r].val) < 0:
+			below = true
+		case !(s.upper[r].set && s.beta[r].cmp(&s.upper[r].val) > 0):
+			s.inWork[r] = false
+			continue
+		}
+		kept = append(kept, r32)
+		if bland {
+			if i == -1 || r < i {
+				i, needLower = r, below
+			}
+			continue
+		}
+		if below {
+			viol.sub(&s.lower[r].val, &s.beta[r])
+		} else {
+			viol.sub(&s.beta[r], &s.upper[r].val)
+		}
+		if i != -1 {
+			if c := viol.cmp(worst); c < 0 || c == 0 && r > i {
+				continue
+			}
+		}
+		worst.set(viol)
+		i, needLower = r, below
+	}
+	s.work = kept
+	return i, needLower
 }
 
 // Value returns the current value of variable v as a fresh big.Rat.
