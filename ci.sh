@@ -34,18 +34,17 @@ fi
 echo "==> cancellation and equivalence tests (-race)"
 # The cooperative-cancellation paths are the raciest code in the tree:
 # every layer must abort promptly when its engine.Ctx is cancelled from
-# another goroutine, and parallel case-split races must stay
-# deterministic.
-# The incremental-vs-fresh equivalence suite rides along: per-branch
-# solver sessions under Options.Parallel are the newest shared-state
-# hazard, and the trauserve mixed-load test exercises the admission
-# gate, verdict cache, and merged stats tree under concurrent clients.
+# another goroutine (a client disconnect, an expired deadline).
+# benchtab's -j byte-identity test and the incremental-vs-fresh
+# equivalence suite ride along: instance-level workers share the
+# process-wide template caches, and per-branch solver sessions persist
+# across refinement rounds.
 # The simplex equivalence tests ride along too: the pinned pivot
 # trajectory and the compact-vs-wide scratch comparison check that the
 # violated-row worklist and the compact core-shrinking tableau search
 # exactly as the full scans they replaced did.
 # Run them first and explicitly so a hang here is attributed correctly.
-go test -race -run 'Cancel|Deadline|Timeout|Parallel|Incremental|Concurrent|FailsOver|PivotTrajectory|SubsetCheckMatches' \
+go test -race -run 'Cancel|Deadline|Timeout|Parallel|Incremental|FailsOver|PivotTrajectory|SubsetCheckMatches' \
     ./internal/sat ./internal/simplex ./internal/lia \
     ./internal/core ./internal/baseline ./internal/bench \
     ./internal/cluster

@@ -5,8 +5,7 @@
 // Usage:
 //
 //	trauserve [-addr 127.0.0.1:8080] [-workers N] [-queue N] [-cache N]
-//	          [-timeout d] [-max-timeout d] [-parallel N]
-//	          [-incremental=false] [-drain d]
+//	          [-timeout d] [-max-timeout d] [-drain d]
 //	          [-membudget N] [-tenantbudget N [-tenantrefill N]]
 //	          [-faultseed N] [-netfault k:op]
 //	          [-shards a,b,c [-self a]]
@@ -41,7 +40,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/server"
 )
@@ -65,8 +63,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 	timeout := fs.Duration("timeout", 5*time.Second, "default per-request solve budget")
 	maxTimeout := fs.Duration("max-timeout", 30*time.Second, "largest per-request budget a client may ask for")
 	maxBody := fs.Int64("max-body", 1<<20, "largest accepted request body in bytes")
-	parallel := fs.Int("parallel", 1, "case-split branch workers per solve")
-	incremental := fs.Bool("incremental", true, "reuse solver sessions across refinement rounds")
 	drain := fs.Duration("drain", 30*time.Second, "how long shutdown waits for in-flight solves")
 	memBudget := fs.Int64("membudget", 0, "resource-governor budget units per solve (0 = unlimited)")
 	tenantBudget := fs.Int64("tenantbudget", 0, "shared budget-pool units per tenant (X-Tenant header; 0 = unlimited)")
@@ -81,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 		return 2
 	}
 	if fs.NArg() != 0 {
-		fmt.Fprintln(stderr, "usage: trauserve [-addr host:port] [-workers n] [-queue n] [-cache n] [-timeout d] [-max-timeout d] [-parallel n] [-incremental=false] [-drain d] [-membudget n] [-tenantbudget n [-tenantrefill n]] [-faultseed n] [-netfault k:op] [-shards a,b [-self a]] [-router [-shards a,b] [-probe d]]")
+		fmt.Fprintln(stderr, "usage: trauserve [-addr host:port] [-workers n] [-queue n] [-cache n] [-timeout d] [-max-timeout d] [-drain d] [-membudget n] [-tenantbudget n [-tenantrefill n]] [-faultseed n] [-netfault k:op] [-shards a,b [-self a]] [-router [-shards a,b] [-probe d]]")
 		return 2
 	}
 	shardList := splitShards(*shards)
@@ -103,10 +99,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 		return 2
 	}
 
-	mode := core.IncrementalOn
-	if !*incremental {
-		mode = core.IncrementalOff
-	}
 	srv := server.New(server.Config{
 		Workers:         *workers,
 		QueueDepth:      *queue,
@@ -114,7 +106,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 		DefaultTimeout:  *timeout,
 		MaxTimeout:      *maxTimeout,
 		MaxRequestBytes: *maxBody,
-		Solve:           core.Options{Parallel: *parallel, Incremental: mode},
 		MemBudget:       *memBudget,
 		TenantBudget:    *tenantBudget,
 		TenantRefill:    *tenantRefill,

@@ -39,6 +39,11 @@ func TestRunUsageError(t *testing.T) {
 	if code := run([]string{"-no-such-flag"}, &out, &errOut, nil); code != 2 {
 		t.Fatalf("run with unknown flag = %d, want 2", code)
 	}
+	for _, flag := range []string{"-parallel=2", "-incremental=false"} {
+		if code := run([]string{flag}, &out, &errOut, nil); code != 2 {
+			t.Fatalf("run with removed flag %s = %d, want 2", flag, code)
+		}
+	}
 }
 
 func TestRunBadListenAddr(t *testing.T) {

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	trausolve [-timeout 10s] [-model] [-stats] [-parallel N] file.smt2
+//	trausolve [-timeout 10s] [-model] [-stats] file.smt2
 //	trausolve -            # read from stdin
 package main
 
@@ -34,15 +34,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	timeout := fs.Duration("timeout", 10*time.Second, "solver budget")
 	model := fs.Bool("model", true, "print the model on sat")
 	stats := fs.Bool("stats", false, "print the solve statistics tree")
-	parallel := fs.Int("parallel", 1, "case-split branch workers per round")
-	incremental := fs.Bool("incremental", true, "reuse solver sessions across refinement rounds")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: trausolve [-timeout d] [-model] [-stats] [-parallel n] [-incremental=false] file.smt2 | -")
+		fmt.Fprintln(stderr, "usage: trausolve [-timeout d] [-model] [-stats] file.smt2 | -")
 		return 2
 	}
 
@@ -96,11 +94,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "trausolve: script has no (check-sat)")
 		return 2
 	}
-	mode := core.IncrementalOn
-	if !*incremental {
-		mode = core.IncrementalOff
-	}
-	res := core.Solve(script.Problem, core.Options{Timeout: *timeout, Parallel: *parallel, Incremental: mode})
+	res := core.Solve(script.Problem, core.Options{Timeout: *timeout})
 	fmt.Fprintln(stdout, res.Status)
 	if res.Status == core.StatusSat && *model {
 		names := make([]string, 0, len(script.StrVars))

@@ -90,4 +90,9 @@ func TestRunUsageErrors(t *testing.T) {
 	if code := run([]string{"-"}, strings.NewReader("(set-logic QF_SLIA)\n"), &stdout, &stderr); code != 2 {
 		t.Fatalf("no check-sat: code %d, want 2", code)
 	}
+	for _, flag := range []string{"-parallel=2", "-incremental=false"} {
+		if code := run([]string{flag, "-"}, strings.NewReader(""), &stdout, &stderr); code != 2 {
+			t.Fatalf("removed flag %s: code %d, want 2", flag, code)
+		}
+	}
 }

@@ -28,10 +28,10 @@ func equivInstances() []*Instance {
 // solveMode runs one instance through the decision procedure in the
 // given mode. timedOut reports whether the solve hit its deadline,
 // which excuses an Unknown verdict in the cross-mode comparison.
-func solveMode(inst *Instance, mode core.IncrementalMode, parallel int) (res core.Result, timedOut bool) {
+func solveMode(inst *Instance, mode core.IncrementalMode) (res core.Result, timedOut bool) {
 	prob := inst.Build()
 	ec := engine.WithTimeout(30 * time.Second)
-	res = core.SolveCtx(prob, core.Options{Incremental: mode, Parallel: parallel}, ec)
+	res = core.SolveCtx(prob, core.Options{Incremental: mode}, ec)
 	return res, ec.TimedOut()
 }
 
@@ -73,41 +73,12 @@ func TestIncrementalEquivalence(t *testing.T) {
 	for _, inst := range equivInstances() {
 		inst := inst
 		t.Run(inst.Name, func(t *testing.T) {
-			inc, incTO := solveMode(inst, core.IncrementalOn, 1)
-			fresh, freshTO := solveMode(inst, core.IncrementalOff, 1)
+			inc, incTO := solveMode(inst, core.IncrementalOn)
+			fresh, freshTO := solveMode(inst, core.IncrementalOff)
 			checkAgreement(t, inst, inc, fresh, incTO, freshTO)
 			if inst.Expected == ExpectSat && inc.Status == core.StatusUnsat ||
 				inst.Expected == ExpectUnsat && inc.Status == core.StatusSat {
 				t.Fatalf("%s: verdict %v contradicts ground truth %v", inst.Name, inc.Status, inst.Expected)
-			}
-		})
-	}
-}
-
-// TestIncrementalParallelSessions exercises per-branch sessions under
-// the parallel branch race (run with -race to check the sessions stay
-// confined to their workers) and requires the parallel verdicts and
-// models to match the sequential ones in both modes.
-func TestIncrementalParallelSessions(t *testing.T) {
-	var insts []*Instance
-	for _, s := range Table1Suites(2) {
-		insts = append(insts, s.Instances...)
-	}
-	for _, s := range Table2Suites(2) {
-		insts = append(insts, s.Instances...)
-	}
-	for _, inst := range insts {
-		inst := inst
-		t.Run(inst.Name, func(t *testing.T) {
-			for _, mode := range []core.IncrementalMode{core.IncrementalOn, core.IncrementalOff} {
-				seq, _ := solveMode(inst, mode, 1)
-				par, _ := solveMode(inst, mode, 4)
-				if seq.Status != par.Status {
-					t.Fatalf("%s mode %d: sequential %v, parallel %v", inst.Name, mode, seq.Status, par.Status)
-				}
-				if seq.Status == core.StatusSat && !modelsEqual(seq.Model, par.Model) {
-					t.Fatalf("%s mode %d: parallel model differs from sequential", inst.Name, mode)
-				}
 			}
 		})
 	}

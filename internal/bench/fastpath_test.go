@@ -13,7 +13,7 @@ import (
 func solveForced(inst *Instance, slow bool) (core.Result, bool) {
 	simplex.ForceSlowPath = slow
 	defer func() { simplex.ForceSlowPath = false }()
-	return solveMode(inst, core.IncrementalOn, 1)
+	return solveMode(inst, core.IncrementalOn)
 }
 
 // TestFastPathSlowPathAgreement is the differential gate for the int64

@@ -54,24 +54,6 @@ func TestCancellationStopsSolve(t *testing.T) {
 	}
 }
 
-func TestCancellationStopsParallelSolve(t *testing.T) {
-	before := fault.Snapshot()
-	defer fault.CheckLeaks(t, before)
-	ec := engine.Background()
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		ec.Cancel()
-	}()
-	start := time.Now()
-	res := SolveCtx(hardProblem(), Options{MaxRounds: 50, Parallel: 4}, ec)
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("cancelled parallel solve took %v", d)
-	}
-	if res.Status == StatusSat {
-		t.Fatalf("cancelled solve claims sat")
-	}
-}
-
 // orProblem builds a disjunctive instance with several case-split
 // branches where a middle branch is the satisfiable one.
 func orProblem() *strcon.Problem {
@@ -112,8 +94,8 @@ func render(res Result) string {
 }
 
 // wordOrProblem is a second decidable disjunctive instance: the
-// satisfiable disjunct is a word equation rather than an arithmetic
-// pin, so branch racing crosses the flattening path too.
+// disjuncts are word equations rather than arithmetic pins, and two of
+// them ("cd" and "zz") are satisfiable.
 func wordOrProblem() *strcon.Problem {
 	prob := strcon.NewProblem()
 	x := prob.NewStrVar("x")
@@ -134,26 +116,37 @@ func wordOrProblem() *strcon.Problem {
 	return prob
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	builders := []func() *strcon.Problem{orProblem, wordOrProblem}
-	for bi, build := range builders {
-		seq := Solve(build(), Options{Timeout: 30 * time.Second})
-		for _, workers := range []int{2, 4} {
-			par := Solve(build(), Options{Timeout: 30 * time.Second, Parallel: workers})
-			if got, want := render(par), render(seq); got != want {
-				t.Errorf("problem %d: parallel(%d) result differs from sequential:\n%s\nvs\n%s",
-					bi, workers, got, want)
-			}
+// caseSplitCases are the disjunctive instances with the witness for x
+// (always s0) that the lowest-indexed satisfiable disjunct gives.
+var caseSplitCases = []struct {
+	build func() *strcon.Problem
+	want  string
+}{
+	{orProblem, `s0="52"`},
+	{wordOrProblem, `s0="cd"`},
+}
+
+// TestCaseSplitPicksLowestSatisfiableDisjunct requires the model of
+// each disjunctive instance to come from its lowest-indexed
+// satisfiable disjunct.
+func TestCaseSplitPicksLowestSatisfiableDisjunct(t *testing.T) {
+	for ci, c := range caseSplitCases {
+		got := render(Solve(c.build(), Options{Timeout: 30 * time.Second}))
+		if !strings.HasPrefix(got, "status=sat ") || !strings.Contains(got, c.want+"\n") {
+			t.Errorf("problem %d: got\n%s\nwant sat with %s", ci, got, c.want)
 		}
 	}
 }
 
-func TestParallelIsRunToRunDeterministic(t *testing.T) {
-	first := render(Solve(orProblem(), Options{Timeout: 30 * time.Second, Parallel: 4}))
-	for i := 0; i < 3; i++ {
-		again := render(Solve(orProblem(), Options{Timeout: 30 * time.Second, Parallel: 4}))
-		if again != first {
-			t.Fatalf("run %d differs:\n%s\nvs\n%s", i, again, first)
+// TestCaseSplitIsRunToRunDeterministic solves each disjunctive
+// instance several times and requires identical renders.
+func TestCaseSplitIsRunToRunDeterministic(t *testing.T) {
+	for ci, c := range caseSplitCases {
+		first := render(Solve(c.build(), Options{Timeout: 30 * time.Second}))
+		for i := 0; i < 3; i++ {
+			if again := render(Solve(c.build(), Options{Timeout: 30 * time.Second})); again != first {
+				t.Fatalf("problem %d run %d differs:\n%s\nvs\n%s", ci, i, again, first)
+			}
 		}
 	}
 }

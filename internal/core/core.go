@@ -4,19 +4,14 @@
 // Every SAT answer is validated against the concrete evaluator before
 // being reported (the validator of §9).
 //
-// The refinement loop can race the case-split branches of a round on
-// worker goroutines (Options.Parallel). The race is deterministic:
-// the winner is the lowest-indexed branch whose flattening is
-// satisfiable, exactly the branch the sequential scan would have
-// stopped at, so verdicts and models are identical run to run and
-// identical between the sequential and parallel modes.
+// A solve runs on the caller's goroutine. Each refinement round tries
+// the case-split branches in order and stops at the first one whose
+// flattening is satisfiable, so verdicts and models are identical run
+// to run.
 package core
 
 import (
 	"fmt"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
@@ -50,30 +45,22 @@ func (s Status) String() string {
 }
 
 // Options configure the decision procedure. The zero value uses
-// defaults: over-approximation on, three refinement rounds starting
-// from the paper's (m, p) = (5, 2) with q from a static scan.
+// defaults: over-approximation on, incremental refinement, three
+// refinement rounds starting from (m, p, q) = (5, 2, 2).
 type Options struct {
 	// Timeout bounds the whole solve when calling Solve; zero means
 	// none. SolveCtx ignores it (the context carries the deadline).
 	Timeout time.Duration
 	// MaxRounds bounds under-approximation refinement rounds.
 	MaxRounds int
-	// InitialParams overrides the starting PFA sizes when non-zero.
-	InitialParams flatten.Params
 	// SkipOverApprox disables the UNSAT gate (for ablation studies).
 	SkipOverApprox bool
-	// Parallel races the case-split branches of each refinement round
-	// on up to this many worker goroutines. Values <= 1 solve
-	// sequentially. The verdict and model are identical either way.
-	Parallel int
 	// Incremental selects the refinement engine. The zero value
 	// (IncrementalOn) keeps one arithmetic solver session alive per
 	// case-split branch, so round r+1 reuses round r's learned
 	// clauses, activity and simplex state under assumption literals.
 	// IncrementalOff re-solves every round cold (the A/B baseline).
 	Incremental IncrementalMode
-	// Lia tunes the arithmetic backend (budgets, not deadline).
-	Lia lia.Options
 }
 
 // IncrementalMode toggles the incremental refinement engine.
@@ -103,8 +90,8 @@ type Result struct {
 	// "cancelled", "budget: <site>", "panic: <value>", "validation
 	// failed", or "rounds exhausted". Empty for SAT/UNSAT.
 	Reason string
-	// Fault is the diagnostic of a panic contained at the solve or
-	// branch boundary; nil when nothing panicked.
+	// Fault is the diagnostic of a panic contained at the solve
+	// boundary; nil when nothing panicked.
 	Fault *fault.Diagnostic
 	// Stats is the statistics tree of the solve (never nil).
 	Stats *engine.Stats
@@ -121,9 +108,7 @@ func Solve(prob *strcon.Problem, opts Options) Result {
 //
 // SolveCtx is a panic boundary: a contract panic anywhere in the
 // solver degrades this one solve to UNKNOWN with a Fault diagnostic
-// instead of killing the process (parallel branch goroutines have
-// their own boundary in raceBranches — a goroutine panic would bypass
-// this one).
+// instead of killing the process.
 func SolveCtx(prob *strcon.Problem, opts Options, ec *engine.Ctx) Result {
 	if ec == nil {
 		ec = engine.Background()
@@ -145,43 +130,10 @@ func solveCtx(prob *strcon.Problem, opts Options, ec *engine.Ctx) Result {
 	original := prob.Constraints
 
 	// abstractUnsat checks a constraint set with the over-approximation.
-	// The branch enumeration of splitBranches probes heavily overlapping
-	// constraint sets (shared prefixes plus one candidate conjunct), so
-	// results are memoized per solve, keyed by the canonical identity of
-	// the slice. All callers run on the solve goroutine.
-	memo := make(map[string]bool)
-	memoID := make(map[strcon.Constraint]int)
-	memoKey := func(cons []strcon.Constraint) string {
-		// Constraint objects are shared across the enumeration, so a
-		// per-solve identity numbering (first-seen order, which is
-		// deterministic) canonicalizes a slice cheaply.
-		key := make([]byte, 0, 4*len(cons))
-		for _, c := range cons {
-			id, ok := memoID[c]
-			if !ok {
-				id = len(memoID)
-				memoID[c] = id
-			}
-			key = strconv.AppendInt(key, int64(id), 32)
-			key = append(key, '.')
-		}
-		return string(key)
-	}
 	abstractUnsat := func(cons []strcon.Constraint) bool {
-		key := memoKey(cons)
-		if v, ok := memo[key]; ok {
-			st.Add("cache.overapprox.hit", 1)
-			return v
-		}
-		st.Add("cache.overapprox.miss", 1)
 		oa := overapprox.Abstract(prob, cons, ec)
-		o := opts.Lia
-		o.Ctx = ec
-		o.OnModel = oa.OnModel
-		res, _ := lia.Solve(oa.Formula, &o)
-		v := res == lia.ResUnsat
-		memo[key] = v
-		return v
+		res, _ := lia.Solve(oa.Formula, &lia.Options{Ctx: ec, OnModel: oa.OnModel})
+		return res == lia.ResUnsat
 	}
 
 	if !opts.SkipOverApprox && abstractUnsat(original) {
@@ -197,18 +149,13 @@ func solveCtx(prob *strcon.Problem, opts Options, ec *engine.Ctx) Result {
 	st.Add("branches", int64(len(branches)))
 	if len(branches) == 0 {
 		if truncated || opts.SkipOverApprox {
-			r := Result{Status: StatusUnknown, Stats: st}
-			r.Reason = unknownReason(ec, &r)
-			return r
+			return Result{Status: StatusUnknown, Reason: unknownReason(ec), Stats: st}
 		}
 		// Every branch refuted by a sound over-approximation.
 		return Result{Status: StatusUnsat, OverApproxDecided: true, Stats: st}
 	}
 
-	params := opts.InitialParams
-	if params.M == 0 {
-		params = flatten.Params{M: 5, Loops: 2, LoopLen: 2}
-	}
+	params := flatten.Params{M: 5, Loops: 2, LoopLen: 2}
 	maxRounds := opts.MaxRounds
 	if maxRounds == 0 {
 		maxRounds = 3
@@ -227,17 +174,7 @@ func solveCtx(prob *strcon.Problem, opts Options, ec *engine.Ctx) Result {
 		out.Rounds = round + 1
 		st.Add("rounds", 1)
 		roundCtx := ec.Child(fmt.Sprintf("round%d", round))
-		var win *branchOutcome
-		if opts.Parallel > 1 && len(branches) > 1 {
-			var bf *fault.Diagnostic
-			win, bf = raceBranches(prob, states, params, opts, roundCtx)
-			if bf != nil && out.Fault == nil {
-				out.Fault = bf
-			}
-		} else {
-			win = runBranchesSeq(prob, states, params, opts, roundCtx)
-		}
-		if win != nil {
+		if win := runBranches(prob, states, params, opts, roundCtx); win != nil {
 			if win.validated {
 				out.Status = StatusSat
 				out.Model = win.model
@@ -249,16 +186,13 @@ func solveCtx(prob *strcon.Problem, opts Options, ec *engine.Ctx) Result {
 		}
 		params = params.Refine()
 	}
-	out.Reason = unknownReason(ec, &out)
+	out.Reason = unknownReason(ec)
 	return out
 }
 
 // unknownReason classifies an UNKNOWN verdict by why the solve gave
 // up, in decreasing order of specificity.
-func unknownReason(ec *engine.Ctx, r *Result) string {
-	if r.ValidationFailed {
-		return "validation failed"
-	}
+func unknownReason(ec *engine.Ctx) string {
 	switch ec.Cause() {
 	case engine.CauseBudget:
 		if br := ec.BudgetReason(); br != "" {
@@ -269,9 +203,6 @@ func unknownReason(ec *engine.Ctx, r *Result) string {
 		return "deadline"
 	case engine.CauseCancelled:
 		return "cancelled"
-	}
-	if r.Fault != nil {
-		return "panic: " + r.Fault.Value
 	}
 	return "rounds exhausted"
 }
@@ -288,7 +219,7 @@ type branchState struct {
 
 // branchOutcome is the result of flattening and solving one case-split
 // branch at one parameter level. hit reports that the flattening was
-// satisfiable (the sequential scan stops there, validated or not).
+// satisfiable (the scan stops there, validated or not).
 type branchOutcome struct {
 	hit       bool
 	validated bool
@@ -296,9 +227,9 @@ type branchOutcome struct {
 }
 
 // solveBranch flattens one branch on a private clone of the problem
-// (its own lia pool, so concurrent branches allocate identically
-// numbered variables) and validates any model against the full original
-// problem.
+// (its own lia pool, so a branch's variable numbering does not depend
+// on which branches ran before it) and validates any model against the
+// full original problem.
 //
 // With the incremental engine the clone and the arithmetic session
 // persist on the branch state across rounds: the flattening of round
@@ -316,18 +247,13 @@ func solveBranch(prob *strcon.Problem, bs *branchState,
 		}
 		fl = flatten.Flatten(bs.bp, bs.branch, params, ec)
 		if bs.sess == nil {
-			o := opts.Lia
-			o.Ctx = ec
-			bs.sess = lia.NewSession(&o)
+			bs.sess = lia.NewSession(&lia.Options{Ctx: ec})
 		}
 		res, m = bs.sess.SolveRound(fl.Formula, fl.OnModel, ec)
 	} else {
 		bp := prob.WithConstraints(bs.branch)
 		fl = flatten.Flatten(bp, bs.branch, params, ec)
-		o := opts.Lia
-		o.Ctx = ec
-		o.OnModel = fl.OnModel
-		res, m = lia.Solve(fl.Formula, &o)
+		res, m = lia.Solve(fl.Formula, &lia.Options{Ctx: ec, OnModel: fl.OnModel})
 	}
 	if res != lia.ResSat {
 		// "No solution within the current PFA domains" or unknown;
@@ -349,9 +275,9 @@ func solveBranch(prob *strcon.Problem, bs *branchState,
 	return branchOutcome{hit: true}
 }
 
-// runBranchesSeq scans the branches in order and returns the first hit,
+// runBranches scans the branches in order and returns the first hit,
 // or nil when the whole round comes up dry.
-func runBranchesSeq(prob *strcon.Problem, states []*branchState,
+func runBranches(prob *strcon.Problem, states []*branchState,
 	params flatten.Params, opts Options, ec *engine.Ctx) *branchOutcome {
 	for i, bs := range states {
 		if ec.Expired() {
@@ -363,84 +289,6 @@ func runBranchesSeq(prob *strcon.Problem, states []*branchState,
 		}
 	}
 	return nil
-}
-
-// raceBranches solves the branches of one round concurrently on up to
-// opts.Parallel workers. Each branch gets a child context; when branch
-// i hits, every sibling with a higher index is cancelled (their results
-// can no longer matter), while lower-indexed branches run to completion
-// so the final winner — the lowest-indexed hit — is exactly the branch
-// the sequential scan would have returned.
-func raceBranches(prob *strcon.Problem, states []*branchState,
-	params flatten.Params, opts Options, ec *engine.Ctx) (*branchOutcome, *fault.Diagnostic) {
-	n := len(states)
-	workers := opts.Parallel
-	if workers > n {
-		workers = n
-	}
-	attempts := make([]*engine.Ctx, n)
-	for i := range attempts {
-		attempts[i] = ec.Child(fmt.Sprintf("branch%d", i))
-	}
-	results := make([]branchOutcome, n)
-	var next atomic.Int64
-	var mu sync.Mutex
-	winner := n
-	var firstFault *fault.Diagnostic
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				mu.Lock()
-				dead := i > winner
-				mu.Unlock()
-				if dead {
-					continue
-				}
-				// Panic boundary: a goroutine panic would bypass the
-				// recover in SolveCtx and kill the process. A crashed
-				// branch counts as no-hit — it can only push the final
-				// verdict toward UNKNOWN, never flip it.
-				var out branchOutcome
-				if d := fault.Contain("core.branch", func() {
-					out = solveBranch(prob, states[i], params, opts, attempts[i])
-				}); d != nil {
-					ec.Stats().Add("fault.contained", 1)
-					mu.Lock()
-					if firstFault == nil {
-						firstFault = d
-					}
-					mu.Unlock()
-					continue
-				}
-				results[i] = out
-				if !out.hit {
-					continue
-				}
-				mu.Lock()
-				if i < winner {
-					winner = i
-					for j := i + 1; j < n; j++ {
-						attempts[j].Cancel()
-					}
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	for i := range results {
-		if results[i].hit {
-			return &results[i], firstFault
-		}
-	}
-	return nil, firstFault
 }
 
 // maxBranches bounds the case-split enumeration.
@@ -519,53 +367,4 @@ func flattenAnd(c strcon.Constraint) []strcon.Constraint {
 		return out
 	}
 	return []strcon.Constraint{c}
-}
-
-// StaticLoopLen mirrors the paper's "q obtained from our internal
-// static analysis": a loop length derived from the longest constant
-// string in the constraints, clamped to a practical range. The default
-// strategy starts at the smaller (2,2) shape — which already represents
-// every word of length <= 5 exactly and keeps synchronization products
-// small — and relies on refinement to grow; this helper is exposed for
-// callers that want the paper's variant via Options.InitialParams.
-func StaticLoopLen(prob *strcon.Problem) int {
-	longest := 0
-	var scanTerm func(t strcon.Term)
-	scanTerm = func(t strcon.Term) {
-		for _, it := range t {
-			if !it.IsVar && len(it.Const) > longest {
-				longest = len(it.Const)
-			}
-		}
-	}
-	var scan func(c strcon.Constraint)
-	scan = func(c strcon.Constraint) {
-		switch t := c.(type) {
-		case *strcon.WordEq:
-			scanTerm(t.L)
-			scanTerm(t.R)
-		case *strcon.WordNeq:
-			scanTerm(t.L)
-			scanTerm(t.R)
-		case *strcon.AndCon:
-			for _, a := range t.Args {
-				scan(a)
-			}
-		case *strcon.OrCon:
-			for _, a := range t.Args {
-				scan(a)
-			}
-		}
-	}
-	for _, c := range prob.Constraints {
-		scan(c)
-	}
-	switch {
-	case longest < 2:
-		return 2
-	case longest > 6:
-		return 6
-	default:
-		return longest
-	}
 }

@@ -6,8 +6,8 @@
 //
 // A Ctx forms a tree: Child contexts observe the parent's cancellation
 // and deadline, while cancelling a child leaves the parent (and the
-// child's siblings) running. That asymmetry is what lets the core race
-// independent case-split branches in parallel and cancel the losers. All Ctx and Stats methods are safe on a nil receiver (a nil
+// child's siblings) running. All Ctx and Stats methods are safe on a
+// nil receiver (a nil
 // Ctx never expires, a nil Stats records nothing) and safe for
 // concurrent use.
 package engine

@@ -32,7 +32,7 @@ type Diagnostic struct {
 	// in error responses so a log line can be found from a client.
 	ID string `json:"id"`
 	// Boundary names the Contain call that recovered the panic
-	// ("core.Solve", "core.branch", "server.worker").
+	// ("core.Solve", "server.worker").
 	Boundary string `json:"boundary"`
 	// Value is the rendered panic value.
 	Value string `json:"value"`

@@ -72,9 +72,9 @@ func (o NetOp) String() string {
 // and only counts visits — chaos tests run one counting pass to learn
 // how many injection points an instance has, then sweep k over that
 // range. All methods are safe on a nil receiver (a nil Schedule is
-// "no injection") and for concurrent use; under parallel case-split
-// branches the k-th visit is whichever goroutine gets there first, so
-// sweeps assert verdict invariants, not which site fired.
+// "no injection") and for concurrent use; when several solves share
+// one schedule the k-th visit is whichever goroutine gets there first,
+// so sweeps assert verdict invariants, not which site fired.
 //
 // The network boundary is a second, independent visit counter: the
 // cluster transport calls NetVisit at every hop, and a schedule built

@@ -48,9 +48,9 @@ func (p *Pool) Name(v Var) string {
 func (p *Pool) Size() int { return len(p.names) }
 
 // Clone returns an independent copy of the pool: variables allocated in
-// the clone do not affect the original (and vice versa). The core's
-// parallel case-split race gives each branch a cloned pool so
-// concurrent flattenings allocate identically numbered variables.
+// the clone do not affect the original (and vice versa). The core gives
+// each case-split branch a cloned pool, so a branch's variable
+// numbering does not depend on which branches were flattened first.
 func (p *Pool) Clone() *Pool {
 	return &Pool{names: append([]string(nil), p.names...)}
 }

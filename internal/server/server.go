@@ -40,9 +40,6 @@ type Config struct {
 	// MaxBatchBytes bounds a POST /batch body (default 16 MiB).
 	MaxRequestBytes int64
 	MaxBatchBytes   int64
-	// Solve configures the engine (parallel case splits, incremental
-	// mode). Timeout inside it is ignored — deadlines are per request.
-	Solve core.Options
 	// MemBudget is the per-solve resource-governor budget in units
 	// (0 = unlimited). A request may lower it with budget_units but
 	// never raise it past this cap.
@@ -112,7 +109,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 256
 	}
-	c.Solve.Timeout = 0
 	return c
 }
 
@@ -462,10 +458,14 @@ func (s *Server) rejectTenant(w http.ResponseWriter, tenant string) {
 }
 
 // clampTimeout applies the server's default and maximum to a
-// client-requested deadline.
+// client-requested deadline. ms is compared before it is scaled:
+// multiplied by time.Millisecond, a huge value wraps to a negative
+// duration, which would slip under MaxTimeout and install no deadline.
 func (s *Server) clampTimeout(ms int64) time.Duration {
 	timeout := s.cfg.DefaultTimeout
-	if ms > 0 {
+	if ms > s.cfg.MaxTimeout.Milliseconds() {
+		timeout = s.cfg.MaxTimeout
+	} else if ms > 0 {
 		timeout = time.Duration(ms) * time.Millisecond
 	}
 	if timeout > s.cfg.MaxTimeout {
@@ -791,7 +791,7 @@ func (s *Server) runJob(j *job) {
 			}
 			res = core.Result{Status: core.StatusUnknown, Reason: reason}
 		} else {
-			res = core.SolveCtx(j.script.Problem, s.cfg.Solve, ec)
+			res = core.SolveCtx(j.script.Problem, core.Options{}, ec)
 		}
 	})
 	if d != nil {

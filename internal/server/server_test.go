@@ -178,6 +178,34 @@ func TestSolveTimeout(t *testing.T) {
 	}
 }
 
+// TestHugeTimeoutIsClamped asks for a deadline whose nanosecond value
+// overflows int64. The request must still be held to MaxTimeout, not
+// run with no deadline at all.
+func TestHugeTimeoutIsClamped(t *testing.T) {
+	const maxTimeout = 100 * time.Millisecond
+	s := New(Config{Workers: 1, MaxTimeout: maxTimeout})
+	defer func() { _ = s.Shutdown(context.Background()) }()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	src, err := smtlib.Write(bench.Luhn(9).Build())
+	if err != nil {
+		t.Fatalf("writing luhn: %v", err)
+	}
+	start := time.Now()
+	resp, code := postSolve(t, ts.URL, solveRequest{SMTLIB: src, TimeoutMS: 9223372036855})
+	elapsed := time.Since(start)
+	if code != http.StatusOK {
+		t.Fatalf("status code = %d, want 200", code)
+	}
+	if resp.Status != "unknown" || !resp.TimedOut {
+		t.Fatalf("got %q timed_out=%v after %v, want unknown timed_out", resp.Status, resp.TimedOut, elapsed)
+	}
+	if elapsed > maxTimeout+2*time.Second {
+		t.Fatalf("solve took %v, want it cut near MaxTimeout %v", elapsed, maxTimeout)
+	}
+}
+
 func TestStatsAndMetricsEndpoints(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer func() { _ = s.Shutdown(context.Background()) }()

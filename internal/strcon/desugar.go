@@ -39,8 +39,8 @@ func (p *Problem) Prepare() {
 // resolveAutomata forces every Membership constraint's effective
 // automaton (including complements) to be computed now. The cache
 // inside Membership is written lazily, so resolving it up front makes
-// the constraint values safe to share across concurrently solved
-// case-split branches.
+// the constraint values read-only from here on, safe to share across
+// the problem clones of one solve.
 func resolveAutomata(cons []Constraint) {
 	for _, c := range cons {
 		switch t := c.(type) {

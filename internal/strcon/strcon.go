@@ -207,8 +207,8 @@ func (p *Problem) Add(cs ...Constraint) {
 // WithConstraints returns an independent copy of the problem carrying
 // the given constraint slice. The clone owns its own lia pool and
 // length-variable map, so flattening one clone never perturbs variable
-// numbering in another — the property the core's parallel case-split
-// race relies on to keep concurrent branches deterministic.
+// numbering in another; the core flattens each case-split branch on
+// its own clone.
 // Constraint values themselves are shared (they are never mutated after
 // Prepare).
 func (p *Problem) WithConstraints(cons []Constraint) *Problem {

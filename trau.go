@@ -85,11 +85,6 @@ func NewSolver() *Solver {
 // SetTimeout changes the per-Solve wall-clock budget (0 = none).
 func (s *Solver) SetTimeout(d time.Duration) { s.opts.Timeout = d }
 
-// SetParallel races the case-split branches of each refinement round on
-// up to n worker goroutines (n <= 1 solves sequentially). Verdicts and
-// models are identical either way.
-func (s *Solver) SetParallel(n int) { s.opts.Parallel = n }
-
 // SetOptions replaces the full decision-procedure options.
 func (s *Solver) SetOptions(o core.Options) { s.opts = o }
 
