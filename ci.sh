@@ -34,10 +34,12 @@ fi
 echo "==> cancellation and equivalence tests (-race)"
 # The cooperative-cancellation paths are the raciest code in the tree:
 # every layer must abort promptly when its engine.Ctx is cancelled from
-# another goroutine (a client disconnect, an expired deadline).
+# another goroutine (a client disconnect, an expired deadline). In
+# internal/cluster that includes the ring walk /solve and /batch share,
+# which must not blame a shard for a client that cancelled mid-forward.
 # benchtab's -j byte-identity test and the incremental-vs-fresh
 # equivalence suite ride along: instance-level workers share the
-# process-wide template caches, and per-branch solver sessions persist
+# process-wide sync skeleton cache, and per-branch solver sessions persist
 # across refinement rounds.
 # The simplex equivalence tests ride along too: the pinned pivot
 # trajectory and the compact-vs-wide scratch comparison check that the
@@ -58,7 +60,10 @@ go test -race -count=50 -run TestRouterStatsAggregation ./internal/cluster
 
 echo "==> server race suites (-race -count=2)"
 # The serving layer's concurrency suites — admission, the two-class QoS
-# scheduler, dedup-in-flight, batch jobs, drain — run TWICE in one
+# scheduler, dedup-in-flight, batch jobs, drain, and the dispatch
+# ladder both request classes share (a follower's own deadline, a
+# follower whose client cancels, a queued leader past its deadline, a
+# batch instance following a /solve) — run TWICE in one
 # process. The second run must pass against whatever package-level
 # state the first left behind, so order-dependence and leaked global
 # state fail here instead of flaking later.

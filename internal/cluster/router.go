@@ -271,8 +271,13 @@ func (rt *Router) routeKey(body []byte) (string, bool) {
 			}
 		}
 	}
+	return bodyHash(body), false
+}
+
+// bodyHash is the routing key of a body with no canonical form.
+func bodyHash(body []byte) string {
 	sum := sha256.Sum256(body)
-	return hex.EncodeToString(sum[:]), false
+	return hex.EncodeToString(sum[:])
 }
 
 // readBody drains a routed request's body under the router bound.
@@ -304,7 +309,17 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if !canonical {
 		rt.ctr.uncanonical.Add(1)
 	}
-	rt.forward(w, r, body, key)
+	res, _, err := rt.walk(r, "/solve", key, body)
+	switch {
+	case err != nil:
+		rt.writeError(w, http.StatusGatewayTimeout, "cluster forward: %v", err)
+	case res == nil:
+		// Every breaker is open or every shard failed: degrade rather
+		// than queueing on dead sockets.
+		rt.serveLocal(w, r, body)
+	default:
+		rt.relay(w, res)
+	}
 }
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -319,8 +334,23 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Batches route by body hash: instances inside one batch own
 	// different canonical hashes, and the job the 202 names lives on
 	// whichever shard accepted it.
-	sum := sha256.Sum256(body)
-	rt.forwardBatch(w, r, hex.EncodeToString(sum[:]), body)
+	res, addr, err := rt.walk(r, "/batch", bodyHash(body), body)
+	switch {
+	case err != nil:
+		rt.writeError(w, http.StatusGatewayTimeout, "cluster forward: %v", err)
+	case res == nil:
+		// Batch has no local degradation: job state must outlive the
+		// request, and the router holds none. Reject with backoff
+		// instead.
+		rt.ctr.unroutable.Add(1)
+		w.Header().Set("Retry-After", "1")
+		rt.writeError(w, http.StatusServiceUnavailable, "no shard reachable for batch work")
+	case res.Status == http.StatusAccepted:
+		// Rewrite the job id so /jobs polls route back to this shard.
+		rt.relayBatchAccepted(w, res, addr)
+	default:
+		rt.relay(w, res)
+	}
 }
 
 // handleJob routes GET /jobs/<id>: the router prefixes every batch job
@@ -374,13 +404,15 @@ func splitJobID(id string) (shardIdx int, rest string, ok bool) {
 	return n, id[i+len(jobIDSep):], true
 }
 
-// forward routes a POST /solve down the ring, one shard at a time:
-// owner first, open circuits skipped, transport errors retried then
-// failed over to the next successor. Exactly one shard works on the
-// request at any moment — a slow owner answers or the request times
-// out, and no duplicate is sent. When every shard is open-circuit or
-// exhausted it degrades to the local handler.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, key string) {
+// walk sends a routed POST down the ring, one shard at a time: owner
+// first, open circuits skipped, transport errors retried then failed
+// over to the next successor. Exactly one shard works on the request
+// at any moment — a slow owner answers or the request times out, and
+// no duplicate is sent. It returns the first shard reply and the
+// shard's address; nil with a nil error when every shard was
+// open-circuit or failed; an error when the request context ended
+// (the client left or RequestTimeout ran out).
+func (rt *Router) walk(r *http.Request, path, key string, body []byte) (*Result, string, error) {
 	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
 	defer cancel()
 	routed := false
@@ -402,7 +434,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, k
 		var err error
 		if d := fault.Contain("cluster.forward", func() {
 			var retries int
-			res, retries, err = rt.client.DoRetry(ctx, http.MethodPost, "http://"+addr+"/solve", r.Header.Clone(), body)
+			res, retries, err = rt.client.DoRetry(ctx, http.MethodPost, "http://"+addr+path, r.Header.Clone(), body)
 			rt.ctr.retries.Add(int64(retries))
 		}); d != nil {
 			err = d
@@ -410,8 +442,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, k
 		sh.forwards.Add(1)
 		if err == nil {
 			sh.breaker.Success()
-			rt.relay(w, res)
-			return
+			return res, addr, nil
 		}
 		// A cancellation with the request context dead means the
 		// CLIENT went away or the request budget ran out — don't blame
@@ -421,59 +452,10 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, k
 			sh.transportErrs.Add(1)
 		}
 		if ctx.Err() != nil {
-			rt.writeError(w, http.StatusGatewayTimeout, "cluster forward: %v", err)
-			return
+			return nil, "", err
 		}
 	}
-	// Every breaker is open or every shard failed: degrade rather than
-	// queueing on dead sockets.
-	rt.serveLocal(w, r, body)
-}
-
-// forwardBatch routes a POST /batch with failover, and rewrites the job id in the 202 so /jobs polls route back to the
-// owning shard.
-func (rt *Router) forwardBatch(w http.ResponseWriter, r *http.Request, key string, body []byte) {
-	candidates := rt.ring.Successors(key, 0)
-	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
-	defer cancel()
-	routed := false
-	for _, addr := range candidates {
-		sh := rt.shards[addr]
-		if !sh.breaker.Allow() {
-			rt.ctr.failovers.Add(1)
-			continue
-		}
-		if !routed {
-			routed = true
-			rt.ctr.routed.Add(1)
-		} else {
-			rt.ctr.failovers.Add(1)
-		}
-		res, retries, err := rt.client.DoRetry(ctx, http.MethodPost, "http://"+addr+"/batch", r.Header.Clone(), body)
-		rt.ctr.retries.Add(int64(retries))
-		sh.forwards.Add(1)
-		if err != nil {
-			sh.breaker.Failure()
-			sh.transportErrs.Add(1)
-			if ctx.Err() != nil {
-				rt.writeError(w, http.StatusGatewayTimeout, "cluster forward: %v", ctx.Err())
-				return
-			}
-			continue
-		}
-		sh.breaker.Success()
-		if res.Status == http.StatusAccepted {
-			rt.relayBatchAccepted(w, res, addr)
-			return
-		}
-		rt.relay(w, res)
-		return
-	}
-	// Batch has no local degradation: job state must outlive the
-	// request, and the router holds none. Reject with backoff instead.
-	rt.ctr.unroutable.Add(1)
-	w.Header().Set("Retry-After", "1")
-	rt.writeError(w, http.StatusServiceUnavailable, "no shard reachable for batch work")
+	return nil, "", nil
 }
 
 // relayBatchAccepted rewrites the shard's job id with the shard prefix

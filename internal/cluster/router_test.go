@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -364,6 +365,53 @@ func TestRouterBatchAndJobRouting(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("unprefixed job id answered %d, want 404", resp.StatusCode)
 		}
+	}
+}
+
+// TestRouterBatchClientCancelDoesNotBlameShard pins the blame rule on
+// the batch path: a client that disconnects while its /batch is being
+// forwarded cancels the hop, and that cancellation is the client's,
+// not the shard's. Three of them (the breaker threshold) must leave a
+// healthy shard with no transport errors and a closed breaker.
+func TestRouterBatchClientCancelDoesNotBlameShard(t *testing.T) {
+	shards, rt, front := startTestCluster(t, 3, nil)
+	body := `{"instances":[{"smtlib":"cancel-me"}]}`
+	owner := bodyOwnerIdx(t, shards, body)
+	shards[owner].delayMS.Store(500)
+
+	for i := int64(1); i <= 3; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, front.URL+"/batch", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("building request: %v", err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			resp, err := http.DefaultClient.Do(req)
+			if err == nil {
+				resp.Body.Close()
+			}
+			done <- err
+		}()
+		for shards[owner].hits.Load() < i {
+			time.Sleep(time.Millisecond) // until the shard holds the hop
+		}
+		cancel()
+		if err := <-done; err == nil {
+			t.Fatalf("cancelled batch %d got a response", i)
+		}
+		// The router counts the hop once DoRetry returns.
+		for j := 0; rt.Snapshot(false).Shards[owner].Forwards < i; j++ {
+			if j > 5000 {
+				t.Fatalf("router never finished forwarding batch %d", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	st := rt.Snapshot(false).Shards[owner]
+	if st.TransportErrors != 0 || st.Breaker != "closed" {
+		t.Fatalf("owner shard after 3 client cancels: transport_errors %d breaker %q, want 0 and closed",
+			st.TransportErrors, st.Breaker)
 	}
 }
 

@@ -10,10 +10,7 @@
 // automata when building synchronization formulas (paper §7).
 package parikh
 
-import (
-	"repro/internal/engine"
-	"repro/internal/lia"
-)
+import "repro/internal/lia"
 
 // Edge is a directed edge of the automaton graph. Labels are irrelevant
 // here; callers keep the edge order and attach meaning to the flow
@@ -110,8 +107,13 @@ func Disconnected(a Automaton, used []bool) (component []int, ok bool) {
 
 // CutFormula builds the connectivity cut for a violated component C:
 // either some edge entering C from outside is used, or every edge
-// leaving a state of C is unused. Every true Parikh image satisfies it,
-// and it excludes the flows for which Disconnected returned C.
+// leaving a state of C is unused. Every true Parikh image satisfies it.
+// It excludes the flows for which Disconnected returned C provided the
+// flows are non-negative: then no edge entering C is used and some edge
+// leaving C carries positive flow, so both disjuncts fail. Negative
+// flows (a model in which the flow constraints are not in force) can
+// cancel in the sums and satisfy the cut, so callers check it against
+// the model before relying on it.
 func CutFormula(a Automaton, flow []lia.Var, component []int) lia.Formula {
 	inC := make(map[int]bool, len(component))
 	for _, q := range component {
@@ -137,28 +139,17 @@ func CutFormula(a Automaton, flow []lia.Var, component []int) lia.Formula {
 // flow[i] (one per a.Edges[i], allocated by the caller) such that its
 // models, projected to flow, are exactly the functions counting how
 // often each edge is used by some accepting run from Init to Final.
-// Auxiliary depth variables are allocated from pool.
-//
-// The formula is instantiated from a template memoized by the
-// automaton's shape (see template); cache counters are recorded on st,
-// which may be nil.
-func Formula(a Automaton, flow []lia.Var, pool *lia.Pool, st *engine.Stats) lia.Formula {
+// Auxiliary depth variables are allocated from pool, one per state in
+// state order.
+func Formula(a Automaton, flow []lia.Var, pool *lia.Pool) lia.Formula {
 	if len(flow) != len(a.Edges) {
 		panic("parikh: flow variable count mismatch")
 	}
-	tmpl := template(a, st)
-	// The renaming maps the template's placeholders onto the caller's
-	// flow variables and onto depth variables freshly allocated here —
-	// in the same order whether the template was cached or just built,
-	// so caching never perturbs pool numbering.
-	ren := make(map[lia.Var]lia.Var, len(flow)+a.NumStates)
-	for i, f := range flow {
-		ren[lia.Var(i)] = f
+	z := make([]lia.Var, a.NumStates)
+	for q := range z {
+		z[q] = pool.Fresh("z")
 	}
-	for q := 0; q < a.NumStates; q++ {
-		ren[lia.Var(len(flow)+q)] = pool.Fresh("z")
-	}
-	return lia.Rename(tmpl, ren)
+	return formulaBody(a, flow, z)
 }
 
 // formulaBody is the Verma–Seidl–Schwentick encoding over explicit

@@ -43,7 +43,7 @@ func formulaSat(t *testing.T, a Automaton, counts []int) bool {
 	for i := range flow {
 		flow[i] = pool.Fresh("y")
 	}
-	f := Formula(a, flow, pool, nil)
+	f := Formula(a, flow, pool)
 	var conj []lia.Formula
 	conj = append(conj, f)
 	for i, c := range counts {

@@ -249,6 +249,12 @@ type CutRegistry struct {
 // Lemmas inspects a candidate model. It returns nil when every product
 // flow is connected; otherwise a conjunction of cut lemmas that exclude
 // the model but no genuine solution.
+//
+// Only cuts the model violates are returned. A product whose flow
+// constraints are not in force (its disjunct is not taken) has free Act
+// and flows, possibly negative, so its flagged component may already
+// satisfy the cut; emitting it anyway would hand the solver a lemma
+// that excludes nothing, and the same model would come back forever.
 func (r *CutRegistry) Lemmas(m lia.Model) lia.Formula {
 	var cuts []lia.Formula
 	for _, pr := range r.Products {
@@ -260,10 +266,13 @@ func (r *CutRegistry) Lemmas(m lia.Model) lia.Formula {
 			used[i] = m.Value(f).Sign() > 0
 		}
 		if comp, ok := parikh.Disconnected(pr.Aut, used); !ok {
-			cuts = append(cuts, lia.Or(
+			cut := lia.Or(
 				lia.Le(lia.V(pr.Act), lia.Const(0)),
 				parikh.CutFormula(pr.Aut, pr.Flow, comp),
-			))
+			)
+			if !lia.Eval(cut, m) {
+				cuts = append(cuts, cut)
+			}
 		}
 	}
 	if len(cuts) == 0 {
@@ -317,7 +326,7 @@ func Sync(ec *engine.Ctx, pool *lia.Pool, p, q *PA, reg *CutRegistry, st *engine
 		conj = append(conj, parikh.FlowOnly(aut, flow), lia.EqConst(act, 1))
 		reg.Products = append(reg.Products, ProductFlows{Aut: aut, Flow: flow, Act: act})
 	} else {
-		conj = append(conj, parikh.Formula(aut, flow, pool, st))
+		conj = append(conj, parikh.Formula(aut, flow, pool))
 	}
 
 	// Ψ_#: each component counter equals the sum of product flows whose

@@ -1,18 +1,12 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
-
-	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/smtlib"
 )
 
 // The async batch API. POST /batch accepts many instances at once and
@@ -197,20 +191,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.rejectDraining(w)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", s.cfg.MaxBatchBytes)
-			return
-		}
-		s.writeError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
 	var req batchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !s.readJSON(w, r, s.cfg.MaxBatchBytes, &req) {
 		return
 	}
 	n := len(req.Instances)
@@ -252,7 +234,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	timeout := s.clampTimeout(req.TimeoutMS)
 	budget := s.clampBudget(req.BudgetUnits)
 	for i, inst := range req.Instances {
-		s.submitInstance(bj, i, inst.SMTLIB, req.NoCache || inst.NoCache, tenant, timeout, budget, pool)
+		s.submitInstance(bj, i, inst.SMTLIB, job{
+			class: classBatch, tenant: tenant, noCache: req.NoCache || inst.NoCache,
+			timeout: timeout, budget: budget, pool: pool,
+		})
 	}
 	s.ctr.batchJobs.Add(1)
 	s.ctr.batchInstances.Add(int64(n))
@@ -272,89 +257,36 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, bj.snapshot())
 }
 
-// submitInstance parses one instance and hands it to the dispatch
-// path. Parse failures settle the instance immediately — one bad
-// instance never fails its batch.
-func (s *Server) submitInstance(bj *batchJob, idx int, src string, noCache bool, tenant string, timeout time.Duration, budget int64, pool *engine.Pool) {
-	script, err := smtlib.Parse(src)
-	if err != nil {
-		s.ctr.parseErrors.Add(1)
+// submitInstance parses one instance into j and hands it to the
+// dispatch ladder, which answers it asynchronously into its slot.
+// Parse failures settle the instance immediately — one bad instance
+// never fails its batch.
+func (s *Server) submitInstance(bj *batchJob, idx int, src string, j job) {
+	j.start = time.Now()
+	var err error
+	if j.script, j.canon, err = s.parse(src); err != nil {
 		bj.settle(idx, instanceResult{Status: "error", Error: "parsing problem: " + err.Error()})
 		return
 	}
-	canon, err := smtlib.Canonicalize(script.Problem)
-	if err != nil {
-		canon = nil
-		s.ctr.uncacheable.Add(1)
-	}
-	s.dispatchInstance(bj, idx, script, canon, noCache, tenant, timeout, budget, pool, 0)
-}
-
-// dispatchInstance routes one batch instance: cache, then coalescing
-// onto an identical in-flight solve, then the tenant's batch queue —
-// the same ladder as an interactive request, asynchronous instead of
-// blocking. An unsettled flight re-dispatches (attempt+1) until
-// maxCoalesceAttempts, after which the instance solves uncoalesced.
-func (s *Server) dispatchInstance(bj *batchJob, idx int, script *smtlib.Script, canon *smtlib.Canon, noCache bool, tenant string, timeout time.Duration, budget int64, pool *engine.Pool, attempt int) {
-	if s.draining.Load() {
-		s.ctr.batchDrained.Add(1)
-		bj.settle(idx, instanceResult{Status: "unknown", Reason: "draining"})
-		return
-	}
-	start := time.Now()
-	if canon != nil && !noCache {
-		if resp, ok := s.cacheLookup(script, canon, start); ok {
-			bj.settle(idx, instanceFromResponse(resp))
-			return
-		}
-	}
-	var fl *flight
-	leader := true
-	if canon != nil && !noCache && attempt < maxCoalesceAttempts {
-		fl, leader = s.flights.join(canon.Hash)
-	}
-	if !leader {
-		s.flights.subscribe(fl, func(fl *flight) {
-			if fl.settled {
-				if resp, ok := s.renderVerdict(script, canon, fl.v, false, true, start); ok {
-					s.ctr.coalesced.Add(1)
-					bj.settle(idx, instanceFromResponse(resp))
-					return
-				}
-			}
-			s.ctr.coalesceFallback.Add(1)
-			s.dispatchInstance(bj, idx, script, canon, noCache, tenant, timeout, budget, pool, attempt+1)
-		})
-		return
-	}
-	j := &job{
-		class: classBatch, tenant: tenant,
-		script: script, canon: canon, noCache: noCache,
-		timeout: timeout, budget: budget, pool: pool,
-		fl: fl, admitted: time.Now(),
-		deliver: func(out jobOutcome) {
-			bj.settle(idx, instanceFromOutcome(script, canon, out))
-		},
-	}
-	if err := s.sched.push(j); err != nil {
-		if fl != nil {
-			s.flights.resolve(fl, false, verdict{}, "not admitted")
-		}
-		if errors.Is(err, errSchedDraining) {
+	j.reply = func(a answer) {
+		switch {
+		case errors.Is(a.refused, errSchedDraining):
 			s.ctr.batchDrained.Add(1)
 			bj.settle(idx, instanceResult{Status: "unknown", Reason: "draining"})
-			return
+		case a.refused != nil:
+			// The whole-batch precheck makes this rare (coalesce
+			// fallbacks re-entering a queue that filled meanwhile); the
+			// instance fails alone, its batch survives.
+			bj.settle(idx, instanceResult{Status: "error", Error: "tenant batch backlog full"})
+		default:
+			bj.settle(idx, instanceFromResponse(a.resp))
 		}
-		// The whole-batch precheck makes this rare (coalesce fallbacks
-		// re-entering a queue that filled meanwhile); the instance
-		// fails alone, its batch survives.
-		s.ctr.rejectedQueue.Add(1)
-		bj.settle(idx, instanceResult{Status: "error", Error: "tenant batch backlog full"})
 	}
+	s.dispatch(&j, 0)
 }
 
-// instanceFromResponse converts a rendered verdict (cache hit or
-// coalesced flight) into an instance slot.
+// instanceFromResponse converts a rendered verdict into an instance
+// slot.
 func instanceFromResponse(r solveResponse) instanceResult {
 	return instanceResult{
 		Status: r.Status, Model: r.Model, Witness: r.Witness,
@@ -362,28 +294,4 @@ func instanceFromResponse(r solveResponse) instanceResult {
 		TimedOut: r.TimedOut, Reason: r.Reason,
 		Error: r.Error, FaultID: r.FaultID,
 	}
-}
-
-// instanceFromOutcome converts a worker-produced outcome into an
-// instance slot.
-func instanceFromOutcome(script *smtlib.Script, canon *smtlib.Canon, out jobOutcome) instanceResult {
-	res := instanceResult{
-		Status:   out.res.Status.String(),
-		TimedOut: out.ec.TimedOut(),
-		Reason:   out.res.Reason,
-	}
-	if canon != nil {
-		res.Canonical = canon.Hash
-	}
-	if out.res.Status == core.StatusSat {
-		res.Model = modelOf(script, out.res.Model)
-		if canon != nil {
-			res.Witness = witnessToJSON(canon.WitnessOf(out.res.Model))
-		}
-	}
-	if out.res.Fault != nil {
-		res.FaultID = out.res.Fault.ID
-		res.Error = "solver panic contained (see /stats faults." + out.res.Fault.ID + ")"
-	}
-	return res
 }

@@ -20,17 +20,16 @@ type flightTable struct {
 	flights map[string]*flight
 }
 
-// flight is one in-flight canonical problem. The fields below done are
-// written exactly once, before done closes, and read only after.
+// flight is one in-flight canonical problem. The fields are guarded
+// by the table lock; settled and v are written once, by resolve,
+// before the waiters run.
 type flight struct {
-	hash string
-	done chan struct{}
+	hash     string
+	resolved bool
+	settled  bool
+	v        verdict // canonical-coordinate verdict when settled
 
-	settled bool
-	v       verdict // canonical-coordinate verdict when settled
-	reason  string  // unknown classification when not settled
-
-	subs []func(*flight) // callbacks for waiters that do not block (batch)
+	waiters []func(*flight)
 }
 
 func newFlightTable() *flightTable {
@@ -39,46 +38,44 @@ func newFlightTable() *flightTable {
 
 // join returns the flight for hash and whether the caller is its
 // leader. A leader must eventually resolve the flight — even on its
-// failure paths — or followers wait forever.
+// failure paths — or its followers are never answered.
 func (t *flightTable) join(hash string) (*flight, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if f, ok := t.flights[hash]; ok {
 		return f, false
 	}
-	f := &flight{hash: hash, done: make(chan struct{})}
+	f := &flight{hash: hash}
 	t.flights[hash] = f
 	return f, true
 }
 
-// subscribe registers fn to run when fl resolves; if fl has already
-// resolved, fn runs immediately. Callbacks run outside the table lock,
-// on the resolving goroutine (a worker, or the drain path).
+// subscribe registers fn to run when fl resolves, on the resolving
+// goroutine (a worker, the drain path, or a leader that was not
+// admitted); if fl has already resolved, fn runs now. Waiters never
+// block a goroutine.
 func (t *flightTable) subscribe(fl *flight, fn func(*flight)) {
 	t.mu.Lock()
-	select {
-	case <-fl.done:
+	if fl.resolved {
 		t.mu.Unlock()
 		fn(fl)
 		return
-	default:
 	}
-	fl.subs = append(fl.subs, fn)
+	fl.waiters = append(fl.waiters, fn)
 	t.mu.Unlock()
 }
 
 // resolve publishes the leader's outcome: the flight leaves the table
-// first (new arrivals for the hash start a fresh flight), then waiters
-// wake and subscribers run.
-func (t *flightTable) resolve(fl *flight, settled bool, v verdict, reason string) {
+// first (new arrivals for the hash start a fresh flight), then the
+// waiters run, outside the table lock.
+func (t *flightTable) resolve(fl *flight, settled bool, v verdict) {
 	t.mu.Lock()
 	delete(t.flights, fl.hash)
-	fl.settled, fl.v, fl.reason = settled, v, reason
-	subs := fl.subs
-	fl.subs = nil
-	close(fl.done)
+	fl.resolved, fl.settled, fl.v = true, settled, v
+	waiters := fl.waiters
+	fl.waiters = nil
 	t.mu.Unlock()
-	for _, fn := range subs {
+	for _, fn := range waiters {
 		fn(fl)
 	}
 }

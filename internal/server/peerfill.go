@@ -3,7 +3,6 @@ package server
 import (
 	"math/big"
 	"net/http"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -61,11 +60,11 @@ func (s *Server) handleCacheEntry(w http.ResponseWriter, r *http.Request) {
 // standalone server, we own the hash, owner unreachable or cold, or
 // the entry failed re-validation — and the caller falls through to
 // solving, which is always available.
-func (s *Server) peerFill(r *http.Request, script *smtlib.Script, canon *smtlib.Canon, start time.Time) (solveResponse, bool) {
+func (s *Server) peerFill(r *http.Request, j *job) (solveResponse, bool) {
 	if s.cfg.Peers == nil {
 		return solveResponse{}, false
 	}
-	e, err := s.cfg.Peers.Fetch(r.Context(), canon.Hash)
+	e, err := s.cfg.Peers.Fetch(r.Context(), j.canon.Hash)
 	if err != nil {
 		s.ctr.peerErrors.Add(1)
 		return solveResponse{}, false
@@ -90,7 +89,7 @@ func (s *Server) peerFill(r *http.Request, script *smtlib.Script, canon *smtlib.
 	}
 	// Same revalidation as a local cache hit: the witness must satisfy
 	// THIS request's parse or the entry is worthless here.
-	resp, ok := s.renderVerdict(script, canon, v, true, false, start)
+	resp, ok := s.renderVerdict(j, v, true, false)
 	if !ok {
 		s.ctr.peerErrors.Add(1)
 		return solveResponse{}, false
@@ -99,7 +98,7 @@ func (s *Server) peerFill(r *http.Request, script *smtlib.Script, canon *smtlib.
 	s.ctr.peerFills.Add(1)
 	// Adopt the verdict locally so the next request is a plain hit and
 	// the owner is asked once per shard, not once per request.
-	s.cache.put(canon.Hash, v)
+	s.cache.put(j.canon.Hash, v)
 	return resp, true
 }
 

@@ -172,7 +172,7 @@ const maxCoalesceAttempts = 3
 // counters are the serving-layer metrics (cache counters live on the
 // cache itself).
 type counters struct {
-	requests       atomic.Int64 // jobs accepted for processing (solve + batch instances)
+	requests       atomic.Int64 // interactive jobs admitted to the queue (batch instances: batchInstances)
 	parseErrors    atomic.Int64
 	rejectedQueue  atomic.Int64 // 503: queue or backlog full
 	rejectedDrain  atomic.Int64 // 503: shutting down
@@ -391,37 +391,69 @@ func witnessToJSON(w *smtlib.Witness) *witnessJSON {
 	return out
 }
 
-// job is one admitted solve, handed to a worker by the scheduler.
-// Interactive jobs carry their engine context (created at admission so
-// queue time counts against the deadline) and a buffered done channel
-// (a worker never blocks on a handler that stopped listening). Batch
-// jobs carry the deadline parameters instead — their context is
-// created at dequeue, so a deep backlog does not expire instances that
-// were merely waiting — and a deliver callback into the job store.
+// job is one request on the dispatch ladder — a /solve or one batch
+// instance — and, once it leads a solve, the unit the scheduler hands
+// to a worker. Interactive jobs carry their engine context (created at
+// admission so queue time counts against the deadline) and the
+// client's request context. Batch jobs carry the deadline parameters
+// instead — their context is created at dequeue, so a deep backlog
+// does not expire instances that were merely waiting.
 type job struct {
 	class   schedClass
 	tenant  string
 	script  *smtlib.Script
 	canon   *smtlib.Canon
 	noCache bool
+	start   time.Time // arrival; elapsed_ms counts from here
 
-	ec      *engine.Ctx   // interactive only
-	timeout time.Duration // batch only
-	budget  int64         // batch only
-	pool    *engine.Pool  // batch only (interactive pools ride on ec)
+	ec      *engine.Ctx     // interactive only
+	client  context.Context // interactive only: done once the client has gone
+	timeout time.Duration   // batch only
+	budget  int64           // batch only
+	pool    *engine.Pool    // batch only (interactive pools ride on ec)
+
+	// reply receives the request's answer, exactly once, on whichever
+	// goroutine settles it: the dispatching caller, a worker, the drain
+	// path, or a flight's resolver.
+	reply func(answer)
 
 	fl       *flight // the flight this job leads (nil when not coalescable)
 	admitted time.Time
-
-	done    chan jobOutcome  // interactive
-	deliver func(jobOutcome) // batch
 }
 
-// jobOutcome is what a worker (or the drain path) produced for a job.
-type jobOutcome struct {
-	res    core.Result
-	ec     *engine.Ctx // nil when drained before dequeue
-	queued time.Duration
+// answer is how the dispatch ladder settled a request: a rendered
+// verdict, or a refusal (errSchedDraining, errSchedFull) with no body.
+type answer struct {
+	resp    solveResponse
+	refused error
+}
+
+// clientGone reports whether nobody waits for j's answer any more.
+func (j *job) clientGone() bool {
+	return j.client != nil && j.client.Err() != nil
+}
+
+// cacheable reports whether j may use the verdict cache and coalesce
+// with identical requests.
+func (j *job) cacheable() bool {
+	return j.canon != nil && !j.noCache
+}
+
+// parse reads a problem and its canonical form. A problem with no
+// canonical form (e.g. past the canonical nesting budget) is solvable,
+// just not cacheable: canon is nil.
+func (s *Server) parse(src string) (*smtlib.Script, *smtlib.Canon, error) {
+	script, err := smtlib.Parse(src)
+	if err != nil {
+		s.ctr.parseErrors.Add(1)
+		return nil, nil, err
+	}
+	canon, err := smtlib.Canonicalize(script.Problem)
+	if err != nil {
+		canon = nil
+		s.ctr.uncacheable.Add(1)
+	}
+	return script, canon, nil
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
@@ -435,6 +467,26 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 
 func (s *Server) writeError(w http.ResponseWriter, code int, format string, a ...any) {
 	s.writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, a...)})
+}
+
+// readJSON decodes a request body of at most limit bytes into v. When
+// it cannot, it answers 413 or 400 itself and reports false.
+func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			s.writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", limit)
+		} else {
+			s.writeError(w, http.StatusBadRequest, "reading body: %v", err)
+		}
+		return false
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		s.writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+		return false
+	}
+	return true
 }
 
 // rejectDraining answers the drain 503. Retry-After stays constant
@@ -496,55 +548,40 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", s.cfg.MaxRequestBytes)
-			return
-		}
-		s.writeError(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
 	var req solveRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !s.readJSON(w, r, s.cfg.MaxRequestBytes, &req) {
 		return
 	}
-	script, err := smtlib.Parse(req.SMTLIB)
+	script, canon, err := s.parse(req.SMTLIB)
 	if err != nil {
-		s.ctr.parseErrors.Add(1)
 		s.writeError(w, http.StatusBadRequest, "parsing problem: %v", err)
 		return
 	}
-
-	canon, err := smtlib.Canonicalize(script.Problem)
-	if err != nil {
-		// Not an input error: the problem is solvable, just not
-		// cacheable (e.g. past the canonical nesting budget).
-		canon = nil
-		s.ctr.uncacheable.Add(1)
+	answers := make(chan answer, 1)
+	j := &job{
+		class: classInteractive, tenant: tenantOf(r),
+		script: script, canon: canon, noCache: req.NoCache, start: start,
+		client: r.Context(),
+		reply:  func(a answer) { answers <- a },
 	}
 
 	// Cache fast path; see cacheLookup for the revalidation rule. On a
 	// local miss, peer cache-fill asks the canonical hash's owner shard
 	// before spending any solver time.
-	if canon != nil && !req.NoCache {
-		if resp, ok := s.cacheLookup(script, canon, start); ok {
+	if j.cacheable() {
+		if resp, ok := s.cacheLookup(j); ok {
 			s.writeJSON(w, http.StatusOK, resp)
 			return
 		}
-		if resp, ok := s.peerFill(r, script, canon, start); ok {
+		if resp, ok := s.peerFill(r, j); ok {
 			s.writeJSON(w, http.StatusOK, resp)
 			return
 		}
 	}
 
-	tenant := tenantOf(r)
-	pool := s.tenantPool(tenant)
+	pool := s.tenantPool(j.tenant)
 	if pool.Dry() {
-		s.rejectTenant(w, tenant)
+		s.rejectTenant(w, j.tenant)
 		return
 	}
 
@@ -561,108 +598,122 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		ec.SetSchedule(s.cfg.Fault)
 	}
 
-	// Dispatch loop: cache, then coalesce onto an identical in-flight
-	// solve, then the interactive queue. A flight that resolves
-	// unsettled (the leader timed out, was cancelled, or panicked)
-	// proves nothing about the problem, so the waiter loops back and
-	// tries again — re-checking the cache first, becoming the next
-	// leader if the hash is now unclaimed, and solving uncoalesced
-	// after maxCoalesceAttempts.
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			if s.draining.Load() {
-				s.rejectDraining(w)
-				return
-			}
-			if canon != nil && !req.NoCache {
-				if resp, ok := s.cacheLookup(script, canon, start); ok {
-					s.writeJSON(w, http.StatusOK, resp)
-					return
-				}
-			}
-		}
-		var fl *flight
-		leader := true
-		if canon != nil && !req.NoCache && attempt < maxCoalesceAttempts {
-			fl, leader = s.flights.join(canon.Hash)
-		}
-		if !leader {
-			var expired <-chan time.Time
-			if t, ok := ec.Deadline(); ok {
-				timer := time.NewTimer(time.Until(t))
-				defer timer.Stop()
-				expired = timer.C
-			}
-			select {
-			case <-fl.done:
-			case <-expired:
-				// The waiter's own deadline passed while the leader
-				// solved; answer exactly like a queued timeout.
-				s.ctr.timeouts.Add(1)
-				s.writeJSON(w, http.StatusOK, solveResponse{
-					Status: core.StatusUnknown.String(), Reason: "deadline",
-					TimedOut: true, Canonical: canon.Hash, ElapsedMS: msSince(start),
-				})
-				return
-			case <-r.Context().Done():
-				s.ctr.clientsGone.Add(1)
-				return
-			}
-			if fl.settled {
-				if resp, ok := s.renderVerdict(script, canon, fl.v, false, true, start); ok {
-					s.ctr.coalesced.Add(1)
-					s.writeJSON(w, http.StatusOK, resp)
-					return
-				}
-			}
-			s.ctr.coalesceFallback.Add(1)
-			continue
-		}
-
-		j := &job{
-			class: classInteractive, tenant: tenant,
-			script: script, canon: canon, noCache: req.NoCache,
-			ec: ec, fl: fl, admitted: time.Now(),
-			done: make(chan jobOutcome, 1),
-		}
-		if err := s.sched.push(j); err != nil {
-			if fl != nil {
-				s.flights.resolve(fl, false, verdict{}, "not admitted")
-			}
-			if errors.Is(err, errSchedDraining) {
-				s.rejectDraining(w)
-				return
-			}
-			s.ctr.rejectedQueue.Add(1)
+	j.ec = ec
+	s.admit(j, 0)
+	select {
+	case a := <-answers:
+		switch {
+		case errors.Is(a.refused, errSchedDraining):
+			s.rejectDraining(w)
+		case a.refused != nil:
 			depth, _ := s.sched.depths()
 			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs(depth, s.cfg.Workers)))
 			s.writeError(w, http.StatusServiceUnavailable,
 				"admission queue full (%d queued)", depth)
-			return
+		case a.resp.FaultID != "":
+			// A contained panic is a server-side defect, not a property
+			// of the problem: report 500 with the diagnostic id so the
+			// full trace can be pulled from /stats.
+			s.writeJSON(w, http.StatusInternalServerError, a.resp)
+		default:
+			s.writeJSON(w, http.StatusOK, a.resp)
 		}
-		s.ctr.requests.Add(1)
+	case <-r.Context().Done():
+		// Client gone: FromContext's watcher cancels ec, the worker
+		// finishes promptly, and the buffered channel absorbs the
+		// answer. Nothing to write to.
+		s.ctr.clientsGone.Add(1)
+	}
+}
 
-		select {
-		case out := <-j.done:
-			resp := s.outcomeResponse(script, canon, out, start)
-			if out.res.Fault != nil {
-				// A contained panic is a server-side defect, not a
-				// property of the problem: report 500 with the
-				// diagnostic id so the full trace can be pulled from
-				// /stats.
-				s.writeJSON(w, http.StatusInternalServerError, resp)
-				return
-			}
-			s.writeJSON(w, http.StatusOK, resp)
-			return
-		case <-r.Context().Done():
-			// Client gone: FromContext's watcher cancels ec, the worker
-			// finishes promptly, and the buffered done channel absorbs
-			// the result. Nothing to write to.
-			s.ctr.clientsGone.Add(1)
+// dispatch is the serving ladder shared by /solve and batch instances:
+// the draining check, the verdict cache (see cacheLookup), then admit.
+// It never blocks; j.reply receives the answer. A /solve handler makes
+// the first pass's checks itself, asking the owner shard between its
+// cache miss and admission, so it enters at admit; a request that an
+// unsettled flight sends back re-enters here.
+func (s *Server) dispatch(j *job, attempt int) {
+	if s.draining.Load() {
+		j.reply(answer{refused: errSchedDraining})
+		return
+	}
+	if j.cacheable() {
+		if resp, ok := s.cacheLookup(j); ok {
+			j.reply(answer{resp: resp})
 			return
 		}
 	}
+	s.admit(j, attempt)
+}
+
+// admit coalesces j onto an identical in-flight solve (see follow) or
+// makes it the leader of a new flight and pushes it to the scheduler,
+// where a worker answers it. After maxCoalesceAttempts unsettled
+// flights the request solves uncoalesced.
+func (s *Server) admit(j *job, attempt int) {
+	if j.cacheable() && attempt < maxCoalesceAttempts {
+		fl, leader := s.flights.join(j.canon.Hash)
+		if !leader {
+			s.follow(j, fl, attempt)
+			return
+		}
+		j.fl = fl
+	}
+	j.admitted = time.Now()
+	if err := s.sched.push(j); err != nil {
+		if j.fl != nil {
+			s.flights.resolve(j.fl, false, verdict{})
+		}
+		if errors.Is(err, errSchedFull) {
+			s.ctr.rejectedQueue.Add(1)
+		}
+		j.reply(answer{refused: err})
+		return
+	}
+	if j.class == classInteractive {
+		s.ctr.requests.Add(1) // batch instances count in batch.instances
+	}
+}
+
+// follow attaches j to another request's flight without blocking. A
+// settled verdict is transported onto j's parse like a cache hit; an
+// unsettled one (the leader timed out, was cancelled or panicked)
+// proves nothing, so j goes back through dispatch. An interactive
+// deadline runs from admission, so such a follower answers unknown at
+// its deadline if the flight is still up; a batch deadline starts at
+// dequeue, so a batch follower waits. A gone client gets no answer.
+func (s *Server) follow(j *job, fl *flight, attempt int) {
+	var claimed atomic.Bool
+	var timer *time.Timer
+	if t, ok := j.ec.Deadline(); ok {
+		timer = time.AfterFunc(time.Until(t), func() {
+			if !claimed.CompareAndSwap(false, true) || j.clientGone() {
+				return
+			}
+			s.ctr.timeouts.Add(1)
+			j.reply(answer{resp: solveResponse{
+				Status: core.StatusUnknown.String(), Reason: "deadline",
+				TimedOut: true, Canonical: j.canon.Hash, ElapsedMS: msSince(j.start),
+			}})
+		})
+	}
+	s.flights.subscribe(fl, func(fl *flight) {
+		if !claimed.CompareAndSwap(false, true) || j.clientGone() {
+			return
+		}
+		if timer != nil {
+			timer.Stop()
+		}
+		if fl.settled {
+			if resp, ok := s.renderVerdict(j, fl.v, false, true); ok {
+				s.ctr.coalesced.Add(1)
+				j.reply(answer{resp: resp})
+				return
+			}
+		}
+		s.ctr.coalesceFallback.Add(1)
+		s.dispatch(j, attempt+1)
+	})
 }
 
 // cacheLookup serves a request from the verdict cache when possible.
@@ -673,14 +724,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // first, and for an entry a fresh solve has already replaced — and
 // every reader falls through to the dispatch path, where
 // dedup-in-flight collapses them onto one real solve.
-func (s *Server) cacheLookup(script *smtlib.Script, canon *smtlib.Canon, start time.Time) (solveResponse, bool) {
-	v, ok := s.cache.get(canon.Hash)
+func (s *Server) cacheLookup(j *job) (solveResponse, bool) {
+	v, ok := s.cache.get(j.canon.Hash)
 	if !ok {
 		return solveResponse{}, false
 	}
-	resp, ok := s.renderVerdict(script, canon, v, true, false, start)
+	resp, ok := s.renderVerdict(j, v, true, false)
 	if !ok {
-		if s.cache.removeIf(canon.Hash, v) {
+		if s.cache.removeIf(j.canon.Hash, v) {
 			s.ctr.revalFailures.Add(1)
 		}
 		return solveResponse{}, false
@@ -694,9 +745,9 @@ func (s *Server) cacheLookup(script *smtlib.Script, canon *smtlib.Canon, start t
 // SAT, the canonical witness is transported onto the requesting parse
 // and re-checked by the concrete evaluator; ok=false means the
 // witness did not fit (callers treat it as a miss).
-func (s *Server) renderVerdict(script *smtlib.Script, canon *smtlib.Canon, v verdict, cached, coalesced bool, start time.Time) (solveResponse, bool) {
+func (s *Server) renderVerdict(j *job, v verdict, cached, coalesced bool) (solveResponse, bool) {
 	resp := solveResponse{
-		Canonical: canon.Hash,
+		Canonical: j.canon.Hash,
 		Cached:    cached,
 		Coalesced: coalesced,
 	}
@@ -704,43 +755,44 @@ func (s *Server) renderVerdict(script *smtlib.Script, canon *smtlib.Canon, v ver
 	case core.StatusUnsat:
 		resp.Status = "unsat"
 	case core.StatusSat:
-		a := canon.Assignment(v.witness)
-		if a == nil || !script.Problem.Eval(a) {
+		a := j.canon.Assignment(v.witness)
+		if a == nil || !j.script.Problem.Eval(a) {
 			return solveResponse{}, false
 		}
 		resp.Status = "sat"
-		resp.Model = modelOf(script, a)
+		resp.Model = modelOf(j.script, a)
 		resp.Witness = witnessToJSON(v.witness)
 	default:
 		return solveResponse{}, false
 	}
-	resp.ElapsedMS = msSince(start)
+	resp.ElapsedMS = msSince(j.start)
 	return resp, true
 }
 
-// outcomeResponse renders a worker-produced result for the request
-// that led the solve.
-func (s *Server) outcomeResponse(script *smtlib.Script, canon *smtlib.Canon, out jobOutcome, start time.Time) solveResponse {
+// outcomeResponse renders a worker-produced result (or the drain
+// path's synthetic one, with a nil ec) for the request that led the
+// solve.
+func outcomeResponse(j *job, res core.Result, ec *engine.Ctx, queued time.Duration) solveResponse {
 	resp := solveResponse{
-		Status:    out.res.Status.String(),
-		Rounds:    out.res.Rounds,
-		TimedOut:  out.ec.TimedOut(),
-		ElapsedMS: msSince(start),
-		QueuedMS:  float64(out.queued) / float64(time.Millisecond),
-		Reason:    out.res.Reason,
+		Status:    res.Status.String(),
+		Rounds:    res.Rounds,
+		TimedOut:  ec.TimedOut(),
+		ElapsedMS: msSince(j.start),
+		QueuedMS:  float64(queued) / float64(time.Millisecond),
+		Reason:    res.Reason,
 	}
-	if canon != nil {
-		resp.Canonical = canon.Hash
+	if j.canon != nil {
+		resp.Canonical = j.canon.Hash
 	}
-	if out.res.Status == core.StatusSat {
-		resp.Model = modelOf(script, out.res.Model)
-		if canon != nil {
-			resp.Witness = witnessToJSON(canon.WitnessOf(out.res.Model))
+	if res.Status == core.StatusSat {
+		resp.Model = modelOf(j.script, res.Model)
+		if j.canon != nil {
+			resp.Witness = witnessToJSON(j.canon.WitnessOf(res.Model))
 		}
 	}
-	if out.res.Fault != nil {
-		resp.FaultID = out.res.Fault.ID
-		resp.Error = "solver panic contained (see /stats faults." + out.res.Fault.ID + ")"
+	if res.Fault != nil {
+		resp.FaultID = res.Fault.ID
+		resp.Error = "solver panic contained (see /stats faults." + res.Fault.ID + ")"
 	}
 	return resp
 }
@@ -833,33 +885,21 @@ func (s *Server) runJob(j *job) {
 }
 
 // finish resolves the job's flight (waking every coalesced waiter with
-// the same verdict) and delivers the outcome to the job's consumer.
-// The drain path uses it too, with a synthetic "draining" result and
-// no engine context.
+// the same verdict) and answers the job. The drain path uses it too,
+// with a synthetic "draining" result and no engine context.
 func (s *Server) finish(j *job, res core.Result, ec *engine.Ctx, queued time.Duration) {
 	if j.fl != nil {
+		var v verdict
 		settled := (res.Status == core.StatusSat || res.Status == core.StatusUnsat) && !ec.Expired()
 		if settled {
-			v := verdict{status: res.Status}
+			v.status = res.Status
 			if res.Status == core.StatusSat {
 				v.witness = j.canon.WitnessOf(res.Model)
 			}
-			s.flights.resolve(j.fl, true, v, "")
-		} else {
-			reason := res.Reason
-			if reason == "" {
-				reason = "unsettled"
-			}
-			s.flights.resolve(j.fl, false, verdict{}, reason)
 		}
+		s.flights.resolve(j.fl, settled, v)
 	}
-	out := jobOutcome{res: res, ec: ec, queued: queued}
-	if j.done != nil {
-		j.done <- out
-	}
-	if j.deliver != nil {
-		j.deliver(out)
-	}
+	j.reply(answer{resp: outcomeResponse(j, res, ec, queued)})
 }
 
 // recordFault keeps the newest faultLogCap contained-panic diagnostics
